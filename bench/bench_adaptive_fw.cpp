@@ -9,11 +9,11 @@
 //   * stall — the PR-5/6 fault plan (`stall:1@5+4`): rank 1 freezes for
 //     4 virtual seconds at t = 5 s, with graceful degradation armed.
 //
-// Controllers: `heuristic` (wait/failure signal thresholds), `hill-climb`
-// (direct iteration-time descent) and `model` — the ModelWindowPolicy that
-// computes FW from the live delay/service distribution sketches with a
-// rollback-cascade guard.  A θ section additionally races the fixed check
-// threshold against the rejection-band AdaptiveThetaPolicy.
+// Controllers: `heuristic` (wait/failure signal thresholds) and `model` —
+// the ModelWindowPolicy that computes FW from the live delay/service
+// distribution sketches with a rollback-cascade guard.  A θ section
+// additionally races the fixed check threshold against the rejection-band
+// AdaptiveThetaPolicy.
 //
 // Acceptance (checked in-binary, exit 1 on violation):
 //   * on every calm grid point the model policy lands within 5% of the best
@@ -56,7 +56,7 @@ constexpr double kAcceptSlack = 1.05;  // model within 5% of best fixed
 struct Cell {
   std::string regime;  // "calm" | "spiky" | "stall"
   std::size_t p;
-  std::string policy;  // "fixed" | "heuristic" | "hill-climb" | "model"
+  std::string policy;  // "fixed" | "heuristic" | "model"
   int fw;              // fixed window, or the controllers' starting window
 };
 
@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> procs =
       quick ? std::vector<std::size_t>{8} : std::vector<std::size_t>{4, 8, 16};
   const std::vector<std::string> regimes = {"calm", "spiky", "stall"};
-  const std::vector<std::string> policies = {"heuristic", "hill-climb",
-                                             "model"};
+  const std::vector<std::string> policies = {"heuristic", "model"};
 
   // Every fixed window plus every controller, at every regime × p.  The
   // controllers all start from FW = 1 — the point of the study is reaching

@@ -14,9 +14,8 @@
 #include "apps/heat.hpp"
 #include "apps/jacobi.hpp"
 #include "obs/artifacts.hpp"
-#include "spec/adaptive.hpp"
-#include "runtime/collective_algo.hpp"
 #include "runtime/fault.hpp"
+#include "spec/driver.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -43,63 +42,17 @@ int main(int argc, char** argv) {
   const auto p = static_cast<std::size_t>(cli.get_int("p", 8));
   const long iterations = cli.get_int("iterations", 50);
 
-  // Fault injection (DESIGN.md §9): --fault-plan=drop:0.05,... injects
-  // deterministic faults on every run below and arms the engine's graceful
-  // degradation so overdue halos are speculated past FW instead of stalling.
-  // Collective-algorithm selection (runtime/collective_algo.hpp): routes
-  // the backends' barriers and any collectives through flat linear or
-  // logarithmic tree algorithms.  Auto defers to the size heuristic.
-  runtime::CollectiveAlgo collective = runtime::CollectiveAlgo::Auto;
-  const std::string collective_arg = cli.get("collective", "auto");
-  if (const auto algo = runtime::parse_collective_algo(collective_arg)) {
-    runtime::set_default_collective_algo(*algo);
-    collective = *algo;
-  } else {
-    std::fprintf(stderr,
-                 "warning: unknown --collective '%s' (want flat|tree|auto); "
-                 "keeping auto\n",
-                 collective_arg.c_str());
-  }
-
-  // Run-time controllers (DESIGN.md §13): applied to the speculative (FW>0)
-  // rows of both apps.  Fail fast on unknown names.
-  const std::string window_policy_arg = cli.get("window-policy", "static");
-  const std::string theta_policy_arg = cli.get("theta-policy", "static");
-  if (!spec::parse_window_policy(window_policy_arg)) {
-    std::fprintf(stderr,
-                 "error: unknown --window-policy '%s' (want "
-                 "static|heuristic|hill-climb|model)\n",
-                 window_policy_arg.c_str());
+  // Controllers (applied to the speculative FW > 0 rows of both apps),
+  // fault plan, collectives and the HB detector.  The modelled LAN delivers
+  // in ~80-100 ms; a 1 s ARQ timeout makes a retransmitted halo clearly late
+  // without freezing the pipeline.
+  spec::EngineOptions engine;
+  runtime::SimConfig network = latency_bound_network(p);
+  if (const std::string error =
+          spec::bind_engine_cli(cli, engine, network, 1.0);
+      !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
-  }
-  if (!spec::parse_theta_policy(theta_policy_arg)) {
-    std::fprintf(stderr,
-                 "error: unknown --theta-policy '%s' (want static|adaptive)\n",
-                 theta_policy_arg.c_str());
-    return 1;
-  }
-  const std::string window_policy =
-      window_policy_arg == "static" ? "" : window_policy_arg;
-  const std::string theta_policy =
-      theta_policy_arg == "static" ? "" : theta_policy_arg;
-
-  runtime::FaultPlanPtr fault;
-  const std::string fault_spec = cli.get("fault-plan", "");
-  if (!fault_spec.empty()) {
-    runtime::FaultPlanConfig fault_config;
-    // The modelled LAN delivers in ~80-100 ms; a 1 s ARQ timeout makes a
-    // retransmitted halo clearly late without freezing the pipeline.
-    fault_config.retransmit_timeout_seconds = 1.0;
-    fault_config.seed =
-        static_cast<std::uint64_t>(cli.get_int("fault-seed", 0xfa017));
-    std::string fault_error;
-    if (!runtime::parse_fault_plan(fault_spec, fault_config, fault_error)) {
-      std::fprintf(stderr, "error: bad --fault-plan: %s\n",
-                   fault_error.c_str());
-      return 1;
-    }
-    fault =
-        std::make_shared<const runtime::FaultPlan>(std::move(fault_config));
   }
   runtime::FaultStats fault_total;
   std::uint64_t degraded_entries = 0;
@@ -114,14 +67,11 @@ int main(int argc, char** argv) {
     s.iterations = iterations;
     s.forward_window = fw;
     s.theta = 1e-3;
-    s.sim = latency_bound_network(p);
-    s.sim.collective = collective;
-    s.sim.hb_check = cli.get_bool("hb-check");
-    s.sim.fault = fault;
-    s.graceful_degradation = fault != nullptr;
+    s.sim = network;
+    s.graceful_degradation = engine.graceful_degradation;
     if (fw > 0) {
-      s.window_policy = window_policy;
-      s.theta_policy = theta_policy;
+      s.window_policy = engine.window_policy;
+      s.theta_policy = engine.theta_policy;
     }
     const JacobiRunResult run = run_jacobi_scenario(s);
     fault_total.merge(run.sim.fault_stats);
@@ -150,15 +100,12 @@ int main(int argc, char** argv) {
     s.iterations = iterations;
     s.forward_window = fw;
     s.theta = 1e-4;
-    s.sim = latency_bound_network(p);
-    s.sim.collective = collective;
+    s.sim = network;
     s.sim.record_trace = fw == 2 && artifacts.wants_trace();
-    s.sim.hb_check = cli.get_bool("hb-check");
-    s.sim.fault = fault;
-    s.graceful_degradation = fault != nullptr;
+    s.graceful_degradation = engine.graceful_degradation;
     if (fw > 0) {
-      s.window_policy = window_policy;
-      s.theta_policy = theta_policy;
+      s.window_policy = engine.window_policy;
+      s.theta_policy = engine.theta_policy;
     }
     const HeatRunResult run = run_heat_scenario(s);
     fault_total.merge(run.sim.fault_stats);
@@ -185,7 +132,7 @@ int main(int argc, char** argv) {
       "\nthe same SpecEngine drives N-body, Jacobi and the heat stencil — "
       "only pack/compute/error/correct hooks differ per application.\n");
 
-  if (fault != nullptr) {
+  if (network.fault != nullptr) {
     std::printf(
         "\nfaults (all runs): %llu drops (%llu retransmits, %llu lost), "
         "%llu dups (%llu suppressed), %llu reorders; degraded mode entered "
@@ -203,10 +150,12 @@ int main(int argc, char** argv) {
   artifacts.add_table("heat_jacobi", results);
   artifacts.add_entry("processors", obs::Json(p));
   artifacts.add_entry("iterations", obs::Json(iterations));
-  artifacts.add_entry("window_policy", obs::Json(window_policy_arg));
-  artifacts.add_entry("theta_policy", obs::Json(theta_policy_arg));
-  if (fault != nullptr) {
-    artifacts.add_entry("fault_plan", obs::Json(fault_spec));
+  artifacts.add_entry("window_policy",
+                      obs::Json(cli.get("window-policy", "static")));
+  artifacts.add_entry("theta_policy",
+                      obs::Json(cli.get("theta-policy", "static")));
+  if (network.fault != nullptr) {
+    artifacts.add_entry("fault_plan", obs::Json(cli.get("fault-plan", "")));
     artifacts.add_entry("fault_injected_drops",
                         obs::Json(fault_total.injected_drops));
     artifacts.add_entry("fault_retransmits",

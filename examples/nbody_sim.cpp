@@ -18,9 +18,12 @@
 #include "obs/artifacts.hpp"
 #include "runtime/collective_algo.hpp"
 #include "runtime/fault.hpp"
+#include "spec/driver.hpp"
 #include "support/cli.hpp"
 
-int main(int argc, char** argv) {
+// An unknown scenario name (e.g. --speculator) or a failing rank throws
+// out of run_scenario; report it instead of aborting.
+int main(int argc, char** argv) try {
   using namespace specomp;
   using namespace specomp::nbody;
   const support::Cli cli(argc, argv);
@@ -34,33 +37,13 @@ int main(int argc, char** argv) {
   s.forward_window = static_cast<int>(cli.get_int("fw", 1));
   s.theta = cli.get_double("theta", 0.01);
   s.speculator = cli.get("speculator", "kinematic");
-  // Run-time controllers (DESIGN.md §13).  Fail fast on unknown names: a
-  // silently ignored policy would taint a whole measurement campaign.
-  const std::string window_policy_arg = cli.get("window-policy", "static");
-  const std::string theta_policy_arg = cli.get("theta-policy", "static");
-  if (!spec::parse_window_policy(window_policy_arg)) {
-    std::fprintf(stderr,
-                 "error: unknown --window-policy '%s' (want "
-                 "static|heuristic|hill-climb|model)\n",
-                 window_policy_arg.c_str());
+  // Controllers, fault plan, collectives and the HB detector.  Healthy
+  // round trips on the calibrated testbed are ~6 s; the 4 s ARQ timeout
+  // makes a retransmitted block late, not geologically late.
+  if (const std::string error = spec::bind_engine_cli(cli, s, s.sim, 4.0);
+      !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
-  }
-  if (!spec::parse_theta_policy(theta_policy_arg)) {
-    std::fprintf(stderr,
-                 "error: unknown --theta-policy '%s' (want static|adaptive)\n",
-                 theta_policy_arg.c_str());
-    return 1;
-  }
-  if (window_policy_arg != "static") s.window_policy = window_policy_arg;
-  if (theta_policy_arg != "static") {
-    if (s.theta <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --theta-policy=%s needs --theta > 0 (the initial "
-                   "threshold the controller adapts from)\n",
-                   theta_policy_arg.c_str());
-      return 1;
-    }
-    s.theta_policy = theta_policy_arg;
   }
   if (cli.get_bool("baseline")) s.algorithm = Algorithm::Fig7Baseline;
   const std::string init = cli.get("init", "plummer");
@@ -71,32 +54,6 @@ int main(int argc, char** argv) {
   // Distribution capture is cheap (fixed-size sketches) but only useful to
   // a report reader, so it follows --report-out.
   s.sim.record_dists = artifacts.wants_report();
-  // Happens-before detector (needs a -DSPECOMP_HB_CHECK=ON build; see
-  // runtime/hb_check.hpp).  Aborts with a causal-path diagnostic on any
-  // unsynchronized delivery instead of silently corrupting the measurement.
-  s.sim.hb_check = cli.get_bool("hb-check");
-  // Fault injection (DESIGN.md §9): --fault-plan=drop:0.05,... arms the
-  // deterministic FaultPlan on every link and switches the engine into
-  // graceful degradation so overdue peers are masked by speculation rather
-  // than blocking the pipeline.
-  const std::string fault_spec = cli.get("fault-plan", "");
-  if (!fault_spec.empty()) {
-    runtime::FaultPlanConfig fault_config;
-    // Healthy round trips on the calibrated testbed are ~6 s; size the ARQ
-    // backoff so a retransmitted block is late, not geologically late.
-    fault_config.retransmit_timeout_seconds = 4.0;
-    fault_config.seed =
-        static_cast<std::uint64_t>(cli.get_int("fault-seed", 0xfa017));
-    std::string fault_error;
-    if (!runtime::parse_fault_plan(fault_spec, fault_config, fault_error)) {
-      std::fprintf(stderr, "error: bad --fault-plan: %s\n",
-                   fault_error.c_str());
-      return 1;
-    }
-    s.sim.fault =
-        std::make_shared<const runtime::FaultPlan>(std::move(fault_config));
-    s.graceful_degradation = true;
-  }
   // --kernel and --bh-theta fail fast: a silently ignored tier (or an
   // opening angle that cannot influence the forced kernel) would taint a
   // whole measurement campaign.
@@ -121,16 +78,6 @@ int main(int argc, char** argv) {
   if (!integrators::make_integrator_cli(s.body.integrator, cli_error)) {
     std::fprintf(stderr, "error: %s\n", cli_error.c_str());
     return 1;
-  }
-  const std::string collective_arg = cli.get("collective", "auto");
-  if (const auto algo = runtime::parse_collective_algo(collective_arg)) {
-    runtime::set_default_collective_algo(*algo);
-    s.sim.collective = *algo;
-  } else {
-    std::fprintf(stderr,
-                 "warning: unknown --collective '%s' (want flat|tree|auto); "
-                 "keeping auto\n",
-                 collective_arg.c_str());
   }
   for (const auto& unknown : cli.unused())
     std::fprintf(stderr, "warning: unknown option --%s\n", unknown.c_str());
@@ -257,7 +204,7 @@ int main(int argc, char** argv) {
                              std::fabs(before.total_energy())));
   if (s.sim.fault != nullptr) {
     const runtime::FaultStats& fs = run.sim.fault_stats;
-    report.extra.set("fault_plan", obs::Json(fault_spec));
+    report.extra.set("fault_plan", obs::Json(cli.get("fault-plan", "")));
     report.extra.set("fault_injected_drops", obs::Json(fs.injected_drops));
     report.extra.set("fault_retransmits", obs::Json(fs.retransmits));
     report.extra.set("fault_messages_lost", obs::Json(fs.messages_lost));
@@ -276,4 +223,7 @@ int main(int argc, char** argv) {
   if (artifacts.wants_trace())
     artifacts.set_trace(run.sim.trace, s.sim.cluster.size());
   return artifacts.flush() ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -16,6 +16,7 @@
 #include "nbody/types.hpp"
 #include "runtime/sim_comm.hpp"
 #include "spec/app.hpp"
+#include "spec/driver.hpp"
 #include "spec/stats.hpp"
 
 namespace specomp::apps {
@@ -71,30 +72,15 @@ class HeatApp final : public spec::SyncIterativeApp {
   std::vector<double> prev_u_;  // local segment before the last update
 };
 
-struct HeatScenario {
+struct HeatScenario : spec::EngineOptions {
+  HeatScenario() { theta = 1e-4; }
+
   HeatProblem problem;
   long iterations = 50;
-  int forward_window = 1;
-  double theta = 1e-4;
-  std::string speculator = "linear";
-  /// Window controller by name ("static", "heuristic", "hill-climb",
-  /// "model"); empty keeps the fixed forward_window.  "model" forces
-  /// sim.record_dists on.
-  std::string window_policy;
-  /// θ controller by name ("static", "adaptive"); empty keeps fixed θ.
-  std::string theta_policy;
-  int max_forward_window = 8;
   runtime::SimConfig sim;
-  /// Engine graceful degradation under faults (DESIGN.md §9); the examples
-  /// arm this whenever a fault plan is given.
-  bool graceful_degradation = false;
-  double overdue_after_seconds = 1.0;
-  int max_degraded_window = 8;
 };
 
-struct HeatRunResult {
-  runtime::SimResult sim;
-  spec::SpecStats spec;
+struct HeatRunResult : spec::AppRunResult {
   std::vector<double> field;  // assembled final u
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "spec/engine.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 
@@ -170,62 +168,22 @@ JacobiRunResult run_jacobi_scenario(const JacobiScenario& scenario) {
   const nbody::Partition partition = nbody::Partition::from_counts(
       scenario.sim.cluster.proportional_partition(scenario.n));
 
-  spec::WindowPolicyKind window_kind = spec::WindowPolicyKind::Static;
-  if (!scenario.window_policy.empty()) {
-    const auto parsed = spec::parse_window_policy(scenario.window_policy);
-    if (!parsed)
-      throw std::invalid_argument("JacobiScenario: unknown window_policy \"" +
-                                  scenario.window_policy + "\"");
-    window_kind = *parsed;
-  }
-  spec::ThetaPolicyKind theta_kind = spec::ThetaPolicyKind::Static;
-  if (!scenario.theta_policy.empty()) {
-    const auto parsed = spec::parse_theta_policy(scenario.theta_policy);
-    if (!parsed)
-      throw std::invalid_argument("JacobiScenario: unknown theta_policy \"" +
-                                  scenario.theta_policy + "\"");
-    theta_kind = *parsed;
-  }
-  runtime::SimConfig sim_config = scenario.sim;
-  if (window_kind == spec::WindowPolicyKind::Model)
-    sim_config.record_dists = true;
-
   std::vector<std::vector<double>> finals(p);
-  std::vector<spec::SpecStats> stats(p);
-  JacobiRunResult result;
-  result.sim = runtime::run_simulated(sim_config, [&](runtime::Communicator&
-                                                          comm) {
+  const auto rank_body = [&](runtime::Communicator& comm,
+                             const spec::RunEngine& run_engine) {
     JacobiApp app(problem, partition, comm.rank());
-    spec::EngineConfig engine_config;
-    engine_config.forward_window = scenario.forward_window;
-    engine_config.threshold = scenario.theta;
-    engine_config.graceful_degradation = scenario.graceful_degradation;
-    engine_config.overdue_after_seconds = scenario.overdue_after_seconds;
-    engine_config.max_degraded_window = scenario.max_degraded_window;
-    if (window_kind != spec::WindowPolicyKind::Static) {
-      engine_config.window_policy =
-          spec::make_window_policy(window_kind, scenario.forward_window);
-      engine_config.max_forward_window = scenario.max_forward_window;
-    }
-    if (theta_kind != spec::ThetaPolicyKind::Static)
-      engine_config.theta_policy =
-          spec::make_theta_policy(theta_kind, scenario.theta);
-    if (scenario.forward_window > 0 || scenario.graceful_degradation ||
-        engine_config.window_policy != nullptr)
-      engine_config.speculator = spec::make_speculator(scenario.speculator);
-    spec::SpecEngine engine(comm, app, engine_config,
-                            JacobiApp::initial_blocks(partition));
-    stats[static_cast<std::size_t>(comm.rank())] =
-        engine.run(scenario.iterations);
+    run_engine(app, JacobiApp::initial_blocks(partition));
     const auto values = app.local_values();
     finals[static_cast<std::size_t>(comm.rank())]
         .assign(values.begin(), values.end());
-  });
-
-  for (std::size_t r = 0; r < p; ++r) {
-    result.spec.merge(stats[r]);
-    for (double v : finals[r]) result.solution.push_back(v);
-  }
+  };
+  JacobiRunResult result;
+  static_cast<spec::AppRunResult&>(result) = spec::run_app_scenario(
+      scenario, scenario.sim, scenario.iterations,
+      {.scenario = "JacobiScenario", .rank_body = rank_body});
+  for (const auto& segment : finals)
+    result.solution.insert(result.solution.end(), segment.begin(),
+                           segment.end());
   result.residual = jacobi_residual(problem, result.solution);
   return result;
 }

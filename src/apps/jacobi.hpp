@@ -13,9 +13,10 @@
 #include <span>
 #include <vector>
 
-#include "nbody/scenario.hpp"  // reuse runtime::SimConfig plumbing via includes
+#include "nbody/types.hpp"
 #include "runtime/sim_comm.hpp"
 #include "spec/app.hpp"
+#include "spec/driver.hpp"
 #include "spec/stats.hpp"
 
 namespace specomp::apps {
@@ -76,32 +77,17 @@ class JacobiApp final : public spec::SyncIterativeApp {
   std::vector<double> acc_;  // last step's off-diagonal row sums (local rows)
 };
 
-struct JacobiScenario {
+struct JacobiScenario : spec::EngineOptions {
+  JacobiScenario() { theta = 1e-3; }
+
   std::size_t n = 200;
   std::uint64_t seed = 99;
   double dominance = 2.0;
   long iterations = 30;
-  int forward_window = 1;
-  double theta = 1e-3;
-  std::string speculator = "linear";
-  /// Window controller by name ("static", "heuristic", "hill-climb",
-  /// "model"); empty keeps the fixed forward_window.  "model" forces
-  /// sim.record_dists on.
-  std::string window_policy;
-  /// θ controller by name ("static", "adaptive"); empty keeps fixed θ.
-  std::string theta_policy;
-  int max_forward_window = 8;
   runtime::SimConfig sim;
-  /// Engine graceful degradation under faults (DESIGN.md Â§9); the examples
-  /// arm this whenever a fault plan is given.
-  bool graceful_degradation = false;
-  double overdue_after_seconds = 1.0;
-  int max_degraded_window = 8;
 };
 
-struct JacobiRunResult {
-  runtime::SimResult sim;
-  spec::SpecStats spec;
+struct JacobiRunResult : spec::AppRunResult {
   std::vector<double> solution;  // assembled final x
   double residual = 0.0;
 };

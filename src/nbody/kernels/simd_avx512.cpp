@@ -33,9 +33,12 @@ inline __m512d nr_step(__m512d y, __m512d h) noexcept {
   return _mm512_mul_pd(y, t);
 }
 
-/// r2^{-3/2}: 14-bit hardware rsqrt seed, two double NR steps, cubed.
+/// r2^{-3/2}: 14-bit hardware rsqrt seed, two double NR steps, cubed.  The
+/// seed is the zero-masked form under an all-lanes mask: the same VRSQRT14PD
+/// result as _mm512_rsqrt14_pd, whose undefined passthrough operand trips
+/// GCC's -Wmaybe-uninitialized.
 inline __m512d inv_r3(__m512d r2) noexcept {
-  __m512d y = _mm512_rsqrt14_pd(r2);
+  __m512d y = _mm512_maskz_rsqrt14_pd(0xFF, r2);
   const __m512d h = _mm512_mul_pd(_mm512_set1_pd(0.5), r2);
   y = nr_step(y, h);
   y = nr_step(y, h);

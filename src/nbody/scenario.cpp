@@ -1,12 +1,11 @@
 #include "nbody/scenario.hpp"
 
-#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "nbody/app.hpp"
 #include "nbody/baseline.hpp"
 #include "nbody/init.hpp"
-#include "spec/engine.hpp"
 #include "support/contracts.hpp"
 
 namespace specomp::nbody {
@@ -52,42 +51,14 @@ NBodyRunResult run_scenario(const NBodyScenario& scenario) {
   SPEC_EXPECTS(p >= 1);
   SPEC_EXPECTS(scenario.iterations >= 1);
 
-  // Resolve named policy kinds up front so a typo fails before the run.
-  spec::WindowPolicyKind window_kind = spec::WindowPolicyKind::Static;
-  if (!scenario.window_policy.empty()) {
-    const auto parsed = spec::parse_window_policy(scenario.window_policy);
-    if (!parsed)
-      throw std::invalid_argument("NBodyScenario: unknown window_policy \"" +
-                                  scenario.window_policy + "\"");
-    window_kind = *parsed;
-  }
-  spec::ThetaPolicyKind theta_kind = spec::ThetaPolicyKind::Static;
-  if (!scenario.theta_policy.empty()) {
-    const auto parsed = spec::parse_theta_policy(scenario.theta_policy);
-    if (!parsed)
-      throw std::invalid_argument("NBodyScenario: unknown theta_policy \"" +
-                                  scenario.theta_policy + "\"");
-    theta_kind = *parsed;
-  }
-
-  runtime::SimConfig sim_config = scenario.sim;
-  // The model controller consumes live DistSketch quantiles; without
-  // recording it would hold at its initial window forever.
-  if (window_kind == spec::WindowPolicyKind::Model)
-    sim_config.record_dists = true;
-
   const std::vector<Particle> initial = make_initial_conditions(scenario.body);
   const Partition partition = Partition::from_counts(
       scenario.sim.cluster.proportional_partition(initial.size()));
 
-  // Per-rank output slots; safe to write from rank bodies on both backends
-  // (disjoint slots, fully ordered on the simulated one).
   std::vector<std::vector<Particle>> finals(p);
-  std::vector<spec::SpecStats> stats(p);
   std::vector<support::OnlineStats> force_errors(p);
-  std::vector<spec::ControlSample> control_log;
-
-  const runtime::RankBody body = [&](runtime::Communicator& comm) {
+  const auto rank_body = [&](runtime::Communicator& comm,
+                             const spec::RunEngine& run_engine) {
     const auto rank = static_cast<std::size_t>(comm.rank());
     if (scenario.algorithm == Algorithm::Fig7Baseline) {
       run_fig7_rank(comm, scenario.body, partition, initial,
@@ -97,52 +68,23 @@ NBodyRunResult run_scenario(const NBodyScenario& scenario) {
     NBodyApp app(scenario.body, partition, initial, comm.rank());
     app.enable_force_error_measurement(scenario.measure_force_error);
     app.set_accept_threshold(scenario.theta);
-    spec::EngineConfig engine_config;
-    engine_config.forward_window = scenario.forward_window;
-    engine_config.threshold = scenario.theta;
-    engine_config.allow_incremental_correction =
-        scenario.allow_incremental_correction;
-    if (window_kind != spec::WindowPolicyKind::Static) {
-      engine_config.window_policy =
-          spec::make_window_policy(window_kind, scenario.forward_window);
-      engine_config.max_forward_window = scenario.max_forward_window;
-    } else if (scenario.adaptive_window) {
-      engine_config.window_policy = std::make_shared<spec::AdaptiveWindowPolicy>();
-      engine_config.max_forward_window = scenario.max_forward_window;
-    } else if (scenario.hill_climb_window) {
-      engine_config.window_policy = std::make_shared<spec::HillClimbWindowPolicy>();
-      engine_config.max_forward_window = scenario.max_forward_window;
-    }
-    if (theta_kind != spec::ThetaPolicyKind::Static)
-      engine_config.theta_policy =
-          spec::make_theta_policy(theta_kind, scenario.theta);
-    engine_config.record_control_log =
-        scenario.record_control_log && comm.rank() == 0;
-    engine_config.graceful_degradation = scenario.graceful_degradation;
-    engine_config.overdue_after_seconds = scenario.overdue_after_seconds;
-    engine_config.max_degraded_window = scenario.max_degraded_window;
-    if (engine_config.forward_window > 0 ||
-        engine_config.window_policy != nullptr ||
-        engine_config.graceful_degradation) {
-      engine_config.speculator =
-          scenario.speculator == "kinematic"
-              ? std::make_shared<KinematicSpeculator>(scenario.body.dt)
-              : spec::make_speculator(scenario.speculator);
-    }
-    spec::SpecEngine engine(comm, app, engine_config,
-                            NBodyApp::initial_blocks(partition, initial));
-    stats[rank] = engine.run(scenario.iterations);
+    run_engine(app, NBodyApp::initial_blocks(partition, initial));
     finals[rank] = app.local_particles();
     force_errors[rank] = app.force_error_stats();
-    if (engine_config.record_control_log) control_log = engine.control_log();
   };
-
+  const auto make_speculator =
+      [&](std::string_view name) -> std::shared_ptr<spec::Speculator> {
+    if (name == "kinematic")
+      return std::make_shared<KinematicSpeculator>(scenario.body.dt);
+    return spec::make_speculator(name);
+  };
   NBodyRunResult result;
-  result.sim = runtime::run_simulated(sim_config, body);
-  result.control_log = std::move(control_log);
-
+  static_cast<spec::AppRunResult&>(result) = spec::run_app_scenario(
+      scenario, scenario.sim, scenario.iterations,
+      {.scenario = "NBodyScenario",
+       .rank_body = rank_body,
+       .make_speculator = make_speculator});
   for (std::size_t r = 0; r < p; ++r) {
-    result.spec.merge(stats[r]);
     result.force_error.merge(force_errors[r]);
     for (const auto& particle : finals[r])
       result.final_particles.push_back(particle);

@@ -12,6 +12,7 @@
 
 #include "nbody/types.hpp"
 #include "runtime/sim_comm.hpp"
+#include "spec/driver.hpp"
 #include "spec/engine.hpp"
 #include "spec/stats.hpp"
 #include "support/stats.hpp"
@@ -23,64 +24,35 @@ enum class Algorithm {
   Speculative,   // the Fig. 3 engine; forward_window = 0 degenerates to Fig. 1
 };
 
-struct NBodyScenario {
+/// Engine options (spec::EngineOptions) plus the N-body problem.  FW
+/// (forward_window) is ignored by Fig7Baseline; θ is the paper's error
+/// threshold (0.01 in Fig. 8); the speculator defaults to "kinematic" (paper
+/// eq. 10), with the generic "hold-last", "linear" and "quadratic" also
+/// accepted.
+struct NBodyScenario : spec::EngineOptions {
+  NBodyScenario() {
+    speculator = "kinematic";
+    // The testbed's healthy round trip is ~5.5-6 s propagation + backoff,
+    // so degradation only fires on genuinely faulted links.
+    overdue_after_seconds = 3.0;
+    max_degraded_window = 12;
+  }
+
   NBodyConfig body;
   runtime::SimConfig sim;  // cluster (p = cluster.size()), channel, overheads
   long iterations = 20;
   Algorithm algorithm = Algorithm::Speculative;
-  /// FW; ignored by Fig7Baseline.
-  int forward_window = 1;
-  /// θ, the paper's error threshold (0.01 in Fig. 8).
-  double theta = 0.01;
-  /// "kinematic" (paper eq. 10) or a generic one: "hold-last", "linear",
-  /// "quadratic".
-  std::string speculator = "kinematic";
-  /// Offer NBodyApp's cheap force correction before rolling back (paper
-  /// behaviour).  Disable to force bit-identical rollback + replay repair.
-  bool allow_incremental_correction = true;
-  /// Let an AdaptiveWindowPolicy choose FW at run time (paper future work);
-  /// forward_window is then ignored.
-  bool adaptive_window = false;
-  /// Same, with the hill-climbing controller (optimises iteration time).
-  bool hill_climb_window = false;
-  /// Window controller by name ("static", "heuristic", "hill-climb",
-  /// "model"; see spec::parse_window_policy).  Empty keeps the legacy bool
-  /// selection above.  "model" forces sim.record_dists on: the policy reads
-  /// the live delay/service quantiles through Communicator::dist_snapshot().
-  std::string window_policy;
-  /// θ controller by name ("static", "adaptive"; see
-  /// spec::parse_theta_policy).  Empty/"static" keeps the fixed theta.
-  std::string theta_policy;
-  /// Record the engine's per-iteration controller trace (window, θ, cascade
-  /// depth, decision) into NBodyRunResult::control_log.
-  bool record_control_log = false;
-  int max_forward_window = 8;
   /// Collect the true force-error distribution (Table 3); costly.
   bool measure_force_error = false;
-  /// Engine graceful degradation under faults (DESIGN.md §9): keep
-  /// computing on speculated values when a peer is overdue past FW.  The
-  /// examples arm this whenever a fault plan is given; leave it off for
-  /// fault-free determinism baselines.
-  bool graceful_degradation = false;
-  /// How long the oldest speculation may stay unresolved before degrading.
-  /// The testbed's healthy round trip is ~5.5-6 s propagation + backoff, so
-  /// the default only fires on genuinely faulted links.
-  double overdue_after_seconds = 3.0;
-  /// Hard cap on outstanding speculations per peer while degraded.
-  int max_degraded_window = 12;
 };
 
-struct NBodyRunResult {
-  runtime::SimResult sim;
-  /// Aggregated speculation statistics over all ranks (zeros for Fig. 7).
-  spec::SpecStats spec;
+/// The simulation, merged speculation statistics (zeros for Fig. 7) and
+/// controller trace of spec::AppRunResult, plus the N-body outputs.
+struct NBodyRunResult : spec::AppRunResult {
   /// Full final particle state, in partition order.
   std::vector<Particle> final_particles;
   /// True force-error samples (only when measure_force_error was set).
   support::OnlineStats force_error;
-  /// Rank 0's per-iteration controller trace (only when record_control_log
-  /// was set).
-  std::vector<spec::ControlSample> control_log;
   /// Mean per-iteration communication (blocked) time across ranks.
   double mean_comm_per_iteration = 0.0;
   /// Mean per-iteration times of the remaining phases across ranks.

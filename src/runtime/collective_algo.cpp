@@ -1,12 +1,6 @@
 #include "runtime/collective_algo.hpp"
 
-#include <atomic>
-
 namespace specomp::runtime {
-
-namespace {
-std::atomic<CollectiveAlgo> g_default{CollectiveAlgo::Auto};
-}  // namespace
 
 std::optional<CollectiveAlgo> parse_collective_algo(
     std::string_view name) noexcept {
@@ -25,16 +19,7 @@ std::string_view collective_algo_name(CollectiveAlgo algo) noexcept {
   return "auto";
 }
 
-void set_default_collective_algo(CollectiveAlgo algo) noexcept {
-  g_default.store(algo, std::memory_order_relaxed);
-}
-
-CollectiveAlgo default_collective_algo() noexcept {
-  return g_default.load(std::memory_order_relaxed);
-}
-
 CollectiveAlgo resolve_collective_algo(CollectiveAlgo algo, int p) noexcept {
-  if (algo == CollectiveAlgo::Auto) algo = default_collective_algo();
   if (algo == CollectiveAlgo::Auto)
     return p > kCollectiveAutoTreeCutoff ? CollectiveAlgo::Tree
                                          : CollectiveAlgo::Flat;

@@ -12,12 +12,12 @@
 //   * Tree — binomial-tree broadcast/gather, recursive-doubling allreduce,
 //     and a dissemination barrier built from real point-to-point messages;
 //     O(log p) rounds, correct at any p.
-//   * Auto — resolves through the process default (set by --collective=),
-//     then a size heuristic: Tree when p > kCollectiveAutoTreeCutoff.
+//   * Auto — resolves by a size heuristic: Tree when
+//     p > kCollectiveAutoTreeCutoff.
 //
 // Selection depends only on configuration and p — never on data or timing —
-// so it is deterministic for a given process configuration (the same
-// discipline as nbody/kernels/dispatch.hpp).
+// so it is deterministic for a given configuration (the same discipline as
+// nbody/kernels/dispatch.hpp).
 #pragma once
 
 #include <optional>
@@ -37,13 +37,8 @@ std::optional<CollectiveAlgo> parse_collective_algo(
     std::string_view name) noexcept;
 std::string_view collective_algo_name(CollectiveAlgo algo) noexcept;
 
-/// Process-wide default applied when both the call site and the
-/// communicator's configuration say Auto (CLI --collective).
-void set_default_collective_algo(CollectiveAlgo algo) noexcept;
-CollectiveAlgo default_collective_algo() noexcept;
-
-/// Resolves Auto (via the process default, then the size heuristic) to a
-/// concrete algorithm for a p-rank communicator.
+/// Resolves Auto (by the size heuristic) to a concrete algorithm for a
+/// p-rank communicator.
 CollectiveAlgo resolve_collective_algo(CollectiveAlgo algo, int p) noexcept;
 
 }  // namespace specomp::runtime

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -56,6 +58,11 @@ class SimWorld {
             } catch (const RankCrashed&) {
               // Fail-stop: the rank simply stops executing; peers run on.
               ++fault_stats_.crashed_ranks;
+            } catch (const std::exception&) {
+              // Kept for run() to rethrow.  Only std::exception: the
+              // kernel's own teardown unwinds processes with a private
+              // non-std type that must keep propagating.
+              if (!rank_error_) rank_error_ = std::current_exception();
             }
             finish_times_[static_cast<std::size_t>(comm->rank_)] = proc.now();
           });
@@ -74,7 +81,14 @@ class SimWorld {
       }
     }
     SimResult result;
-    result.kernel_stats = kernel_.run();
+    try {
+      result.kernel_stats = kernel_.run();
+    } catch (const std::runtime_error&) {
+      // A rank that threw leaves its peers blocked: report the cause, not
+      // the deadlock it left behind.
+      if (!rank_error_) throw;
+    }
+    if (rank_error_) std::rethrow_exception(rank_error_);
     // Surfaced once per run, after the event loop — the kernel hot path
     // never touches the registry, so telemetry stays zero-cost when off.
     obs::metrics()
@@ -225,6 +239,7 @@ class SimWorld {
   std::vector<std::uint32_t> inflight_free_;
   des::Trace trace_;
   FaultStats fault_stats_;
+  std::exception_ptr rank_error_;  // first std::exception a rank body threw
   std::vector<obs::DistSketch> link_delay_;     // p×p, row-major by src
   std::vector<obs::DistSketch> inbound_delay_;  // per dst, all srcs folded
   std::vector<obs::DistSketch> service_;        // per rank

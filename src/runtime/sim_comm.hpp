@@ -55,8 +55,8 @@ struct SimConfig {
   /// Collective-algorithm preference for this run: resolves the Auto default
   /// of runtime/collectives.hpp calls and selects the barrier
   /// implementation (Flat = zero-cost world barrier; Tree = dissemination
-  /// barrier over real messages).  Auto defers to the process default /
-  /// size heuristic (see runtime/collective_algo.hpp).
+  /// barrier over real messages).  Auto defers to the size heuristic (see
+  /// runtime/collective_algo.hpp).
   CollectiveAlgo collective = CollectiveAlgo::Auto;
 };
 
@@ -76,7 +76,9 @@ struct SimResult {
 };
 
 /// Runs `body` as an SPMD program, one simulated rank per cluster machine.
-/// Deterministic: identical config and body ⇒ identical result.
+/// Deterministic: identical config and body ⇒ identical result.  When a
+/// rank body throws a std::exception, the first one is rethrown after the
+/// simulation ends (the other ranks run on until they finish or block).
 SimResult run_simulated(const SimConfig& config, const RankBody& body);
 
 namespace detail {

@@ -90,37 +90,6 @@ int AdaptiveWindowPolicy::next_window(const WindowFeedback& feedback) {
   return feedback.current_window;
 }
 
-HillClimbWindowPolicy::HillClimbWindowPolicy(HillClimbConfig config)
-    : config_(config) {
-  require(config_.initial_window >= 0, "HillClimbWindowPolicy",
-          "initial_window",
-          "must be >= 0 (got " + std::to_string(config_.initial_window) + ")");
-  require(config_.epoch_iterations >= 1, "HillClimbWindowPolicy",
-          "epoch_iterations",
-          "must be >= 1 (got " + std::to_string(config_.epoch_iterations) +
-              ")");
-  require(config_.tolerance >= 0.0, "HillClimbWindowPolicy", "tolerance",
-          "must be >= 0 (got " + std::to_string(config_.tolerance) + ")");
-}
-
-int HillClimbWindowPolicy::next_window(const WindowFeedback& feedback) {
-  SPEC_EXPECTS(feedback.current_window >= 0);
-  epoch_time_ += feedback.wait_seconds + feedback.compute_seconds;
-  if (++epoch_count_ < config_.epoch_iterations)
-    return feedback.current_window;
-
-  const double mean = epoch_time_ / static_cast<double>(epoch_count_);
-  epoch_time_ = 0.0;
-  epoch_count_ = 0;
-
-  if (previous_epoch_mean_ >= 0.0 &&
-      mean > previous_epoch_mean_ * (1.0 - config_.tolerance)) {
-    direction_ = -direction_;  // last move didn't pay: walk back
-  }
-  previous_epoch_mean_ = mean;
-  return std::max(feedback.current_window + direction_, 0);
-}
-
 ModelWindowPolicy::ModelWindowPolicy(ModelWindowConfig config)
     : config_(config) {
   require(config_.initial_window >= 0, "ModelWindowPolicy", "initial_window",
@@ -330,33 +299,14 @@ std::optional<WindowPolicyKind> parse_window_policy(std::string_view name) {
   if (name == "static") return WindowPolicyKind::Static;
   if (name == "heuristic" || name == "adaptive")
     return WindowPolicyKind::Heuristic;
-  if (name == "hill-climb") return WindowPolicyKind::HillClimb;
   if (name == "model") return WindowPolicyKind::Model;
   return std::nullopt;
-}
-
-std::string_view window_policy_name(WindowPolicyKind kind) {
-  switch (kind) {
-    case WindowPolicyKind::Static: return "static";
-    case WindowPolicyKind::Heuristic: return "heuristic";
-    case WindowPolicyKind::HillClimb: return "hill-climb";
-    case WindowPolicyKind::Model: return "model";
-  }
-  return "static";
 }
 
 std::optional<ThetaPolicyKind> parse_theta_policy(std::string_view name) {
   if (name == "static") return ThetaPolicyKind::Static;
   if (name == "adaptive") return ThetaPolicyKind::Adaptive;
   return std::nullopt;
-}
-
-std::string_view theta_policy_name(ThetaPolicyKind kind) {
-  switch (kind) {
-    case ThetaPolicyKind::Static: return "static";
-    case ThetaPolicyKind::Adaptive: return "adaptive";
-  }
-  return "static";
 }
 
 std::shared_ptr<WindowPolicy> make_window_policy(WindowPolicyKind kind,
@@ -368,11 +318,6 @@ std::shared_ptr<WindowPolicy> make_window_policy(WindowPolicyKind kind,
       AdaptiveWindowConfig config;
       config.initial_window = initial_window;
       return std::make_shared<AdaptiveWindowPolicy>(config);
-    }
-    case WindowPolicyKind::HillClimb: {
-      HillClimbConfig config;
-      config.initial_window = initial_window;
-      return std::make_shared<HillClimbWindowPolicy>(config);
     }
     case WindowPolicyKind::Model: {
       ModelWindowConfig config;

@@ -8,17 +8,19 @@
 //   * AdaptiveWindowPolicy — signal-threshold heuristic on the two signals
 //     the engine observes every iteration (blocked time grows the window,
 //     speculation failures shrink it), EWMA-smoothed with a cooldown;
-//   * HillClimbWindowPolicy — optimises the per-iteration elapsed time
-//     directly by walking the window in the improving direction;
 //   * ModelWindowPolicy — model-driven: consumes the live per-link delay and
 //     per-rank service distributions the backend records (obs::DistSketch,
 //     surfaced through runtime::Communicator::dist_snapshot()) and picks a
 //     stability-bounded window from the Anselmi–Walton criterion for
 //     speculative queueing networks, with an explicit rollback-cascade guard
 //     (Manita–Simonot regime avoidance);
-//   * FixedThetaPolicy / AdaptiveThetaPolicy — the companion θ controllers:
-//     the adaptive one trades check-threshold slack against the observed
-//     rejection rate, holding it inside a target band.
+//   * AdaptiveThetaPolicy — the companion θ controller: trades
+//     check-threshold slack against the observed rejection rate, holding it
+//     inside a target band.
+//
+// A fixed window or θ is no policy at all: make_window_policy and
+// make_theta_policy return nullptr for the static kinds, and the engine
+// then uses its fixed forward_window / threshold.
 //
 // All configurations are validated at policy construction: out-of-range
 // smoothing/cooldown values throw std::invalid_argument with a message
@@ -126,49 +128,6 @@ class AdaptiveWindowPolicy final : public WindowPolicy {
   const char* last_decision_ = "hold";
 };
 
-/// Hill-climbing controller: instead of interpreting wait/failure signals,
-/// it optimises the end metric directly — the per-iteration elapsed time
-/// (wait + compute, which includes replay cost).  Every `epoch` iterations
-/// it compares the epoch's mean against the previous one and keeps walking
-/// the window in the improving direction, reversing otherwise.  Converges
-/// to (and dithers ±1 around) the best window even when waits and
-/// corrections trade off nontrivially.
-struct HillClimbConfig {
-  int initial_window = 1;
-  /// Iterations per comparison epoch; must be >= 1.
-  int epoch_iterations = 3;
-  /// Relative improvement required to call a move "better"; must be >= 0.
-  double tolerance = 0.02;
-};
-
-class HillClimbWindowPolicy final : public WindowPolicy {
- public:
-  /// Throws std::invalid_argument on an out-of-range config.
-  explicit HillClimbWindowPolicy(HillClimbConfig config = {});
-
-  int initial_window() const override { return config_.initial_window; }
-  int next_window(const WindowFeedback& feedback) override;
-
- private:
-  HillClimbConfig config_;
-  double epoch_time_ = 0.0;
-  int epoch_count_ = 0;
-  double previous_epoch_mean_ = -1.0;
-  int direction_ = +1;
-};
-
-/// Convenience: a policy pinning the window to a constant (for comparison
-/// harnesses that treat fixed FW as a degenerate policy).
-class FixedWindowPolicy final : public WindowPolicy {
- public:
-  explicit FixedWindowPolicy(int window) : window_(window) {}
-  int initial_window() const override { return window_; }
-  int next_window(const WindowFeedback&) override { return window_; }
-
- private:
-  int window_;
-};
-
 /// Model-driven window controller configuration.  The defaults implement
 /// the contract of DESIGN.md §13: FW is the largest window that both covers
 /// the observed delay and keeps the expected replay load within budget,
@@ -271,17 +230,6 @@ class ThetaPolicy {
   virtual double next_theta(const ThetaFeedback& feedback) = 0;
 };
 
-/// Pins θ to a constant — the engine's historical behaviour as a policy.
-class FixedThetaPolicy final : public ThetaPolicy {
- public:
-  explicit FixedThetaPolicy(double theta) : theta_(theta) {}
-  double initial_theta() const override { return theta_; }
-  double next_theta(const ThetaFeedback&) override { return theta_; }
-
- private:
-  double theta_;
-};
-
 /// Rejection-band θ controller configuration (DESIGN.md §13.5).
 struct AdaptiveThetaConfig {
   double initial_theta = 0.01;
@@ -336,7 +284,6 @@ class AdaptiveThetaPolicy final : public ThetaPolicy {
 enum class WindowPolicyKind {
   Static,     ///< fixed FW (EngineConfig::forward_window)
   Heuristic,  ///< AdaptiveWindowPolicy (wait/failure signal thresholds)
-  HillClimb,  ///< HillClimbWindowPolicy (direct iteration-time descent)
   Model,      ///< ModelWindowPolicy (delay/service distribution model)
 };
 
@@ -346,17 +293,13 @@ enum class ThetaPolicyKind {
   Adaptive,  ///< AdaptiveThetaPolicy (rejection-band controller)
 };
 
-/// Parses a `--window-policy=` value ("static", "heuristic", "hill-climb",
-/// "model"); std::nullopt on anything else.
+/// Parses a `--window-policy=` value ("static", "heuristic" or its alias
+/// "adaptive", "model"); std::nullopt on anything else.
 std::optional<WindowPolicyKind> parse_window_policy(std::string_view name);
-/// Canonical CLI name of `kind`.
-std::string_view window_policy_name(WindowPolicyKind kind);
 
 /// Parses a `--theta-policy=` value ("static", "adaptive"); std::nullopt on
 /// anything else.
 std::optional<ThetaPolicyKind> parse_theta_policy(std::string_view name);
-/// Canonical CLI name of `kind`.
-std::string_view theta_policy_name(ThetaPolicyKind kind);
 
 /// Builds the window policy for `kind` starting from `initial_window`.
 /// Returns nullptr for Static: the engine then uses its fixed

@@ -281,6 +281,7 @@ TEST(KernelDispatch, AutoBoundariesArePinnedExactly) {
           : ForceKernel::Tiled;
 
   // Pair cutoff: 63*65 = 4095 < 4096 <= 64*64.
+  static_assert(63 * 65 < kScalarPairCutoff && kScalarPairCutoff <= 64 * 64);
   EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 63, 65, 0),
             ForceKernel::Scalar);
   EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 64, 64, 0),

@@ -272,10 +272,12 @@ TEST(SimdKernels, UsableImpliesCompiledAndCpuSupport) {
     }
   }
   const support::cpu::Features& cpu = support::cpu::features();
-  if (nbody::kernels::simd_tier_usable(SimdTier::Avx2))
+  if (nbody::kernels::simd_tier_usable(SimdTier::Avx2)) {
     EXPECT_TRUE(cpu.usable_avx2());
-  if (nbody::kernels::simd_tier_usable(SimdTier::Avx512))
+  }
+  if (nbody::kernels::simd_tier_usable(SimdTier::Avx512)) {
     EXPECT_TRUE(cpu.usable_avx512());
+  }
   // None is always nominally usable (it means "no simd tier").
   EXPECT_TRUE(nbody::kernels::simd_tier_usable(SimdTier::None));
 }

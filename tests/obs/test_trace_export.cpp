@@ -192,8 +192,9 @@ TEST(JsonlTrace, CausalEventsCarryEdgeIdentity) {
     ++causal;
     EXPECT_EQ(doc.at("tag").as_int(), 7);
     EXPECT_EQ(doc.at("seq").as_int(), 42);
-    if (doc.at("kind").as_string() == "recv")
+    if (doc.at("kind").as_string() == "recv") {
       EXPECT_DOUBLE_EQ(doc.at("t2_s").as_double(), 1.9);
+    }
   }
   EXPECT_EQ(causal, 2);
 }

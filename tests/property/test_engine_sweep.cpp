@@ -84,8 +84,12 @@ TEST_P(EngineSweep, AccountingInvariantsHold) {
     EXPECT_LE(st.failures, st.checks);
     EXPECT_EQ(st.error.count(), st.checks);
     EXPECT_EQ(st.incremental_corrections, 0u);  // ToyApp has no cheap repair
-    if (c.forward_window == 0) EXPECT_EQ(st.blocks_speculated, 0u);
-    if (st.failures == 0) EXPECT_EQ(st.replayed_iterations, 0u);
+    if (c.forward_window == 0) {
+      EXPECT_EQ(st.blocks_speculated, 0u);
+    }
+    if (st.failures == 0) {
+      EXPECT_EQ(st.replayed_iterations, 0u);
+    }
   }
   for (const double v : out.finals) EXPECT_TRUE(std::isfinite(v));
 }

@@ -326,12 +326,6 @@ TEST(TreeCollectives, AutoResolvesBySizeHeuristic) {
   EXPECT_EQ(resolve_collective_algo(CollectiveAlgo::Tree, 2),
             CollectiveAlgo::Tree);
 
-  // The process default (the --collective= plumbing) fills in for Auto.
-  set_default_collective_algo(CollectiveAlgo::Tree);
-  EXPECT_EQ(resolve_collective_algo(CollectiveAlgo::Auto, 2),
-            CollectiveAlgo::Tree);
-  set_default_collective_algo(CollectiveAlgo::Auto);
-
   EXPECT_EQ(parse_collective_algo("flat"), CollectiveAlgo::Flat);
   EXPECT_EQ(parse_collective_algo("tree"), CollectiveAlgo::Tree);
   EXPECT_EQ(parse_collective_algo("auto"), CollectiveAlgo::Auto);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/serialization.hpp"
@@ -199,6 +200,20 @@ TEST(SimComm, SingleRankWorks) {
     comm.compute(5e6);
   });
   EXPECT_DOUBLE_EQ(result.makespan_seconds, 5.0);
+}
+
+TEST(SimComm, ThrowingRankBodyFailsTheRun) {
+  // Rank 1 throws; rank 0 is left blocked in a receive that never arrives.
+  // The run must surface rank 1's exception, not return a zeroed result.
+  try {
+    run_simulated(two_rank_config(), [](Communicator& comm) {
+      if (comm.rank() == 1) throw std::runtime_error("rank 1 gave up");
+      (void)comm.recv_doubles(1, 7);
+    });
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 gave up");
+  }
 }
 
 }  // namespace

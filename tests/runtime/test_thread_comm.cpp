@@ -85,9 +85,10 @@ TEST(ThreadComm, AllToAllExchange) {
   });
   for (int r = 0; r < kRanks; ++r)
     for (int k = 0; k < kRanks; ++k)
-      if (r != k)
+      if (r != k) {
         EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(r)][static_cast<std::size_t>(k)],
                          static_cast<double>(k));
+      }
 }
 
 TEST(ThreadComm, TagsKeepStreamsSeparate) {

@@ -110,8 +110,12 @@ TEST(CpuFeatures, DetectIsStableAndConsistent) {
   EXPECT_EQ(a.avx2, b.avx2);
   EXPECT_EQ(a.avx512f, b.avx512f);
   EXPECT_EQ(a.os_avx, b.os_avx);
-  if (a.avx2) EXPECT_TRUE(a.avx);
-  if (a.avx512f) EXPECT_TRUE(a.avx2);
+  if (a.avx2) {
+    EXPECT_TRUE(a.avx);
+  }
+  if (a.avx512f) {
+    EXPECT_TRUE(a.avx2);
+  }
 }
 
 }  // namespace

@@ -341,12 +341,13 @@ TEST(SpectraceCollective, TreeAllreduceHopsDriveCriticalPathAttribution) {
 
 // ---- fixture byte-identity -------------------------------------------------
 
-// Regenerate (from the repo root, after a full build) with:
-//   ./build/examples/nbody_sim --p 4 --iterations 8 --n 200 \
-//     --fault-plan=stall:1@5+4 \
+// Regenerate (from the repo root, after a full build) with these two
+// commands, each on one line:
+//   ./build/examples/nbody_sim --p 4 --iterations 8 --n 200
+//     --fault-plan=stall:1@5+4
 //     --trace-out=tests/tools/fixtures/trace_p4_stall.jsonl
-//   ./build/tools/spectrace/spectrace --cascades --json \
-//     tests/tools/fixtures/trace_p4_stall.jsonl \
+//   ./build/tools/spectrace/spectrace --cascades --json
+//     tests/tools/fixtures/trace_p4_stall.jsonl
 //     --out=tests/tools/fixtures/trace_p4_stall.cascades.json
 TEST(SpectraceFixture, CascadeReportIsByteIdentical) {
   const std::string dir = SPECOMP_SPECTRACE_FIXTURE_DIR;
