@@ -123,10 +123,7 @@ int main(int argc, char** argv) {
   report.speculator = "linear";
   report.forward_window = 1;
   report.theta = 0.01;
-  report.iterations = 100;
-  report.makespan_seconds = with_spec;
-  report.fill_phases(speculative.timers, 100);
-  report.fill_channel(speculative.channel_stats);
+  report.fill_sim(speculative, 100);
   report.extra.set("baseline_makespan_seconds", obs::Json(without));
   artifacts.set_run_report(report);
   if (artifacts.wants_trace()) artifacts.set_trace(speculative.trace, 8);

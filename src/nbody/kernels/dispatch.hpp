@@ -29,10 +29,6 @@
 
 #include "nbody/types.hpp"
 
-namespace specomp::support {
-class ThreadPool;
-}
-
 namespace specomp::nbody::kernels {
 
 enum class ForceKernel {
@@ -94,8 +90,8 @@ ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
                                  std::size_t sources);
 
 /// Same, with the worker count the tiled-mt heuristic consults made
-/// explicit (the 3-argument overload passes kernel_pool().worker_count());
-/// lets tests pin the Auto boundaries on any host.
+/// explicit (the 3-argument overload passes the shared pool's count); lets
+/// tests pin the Auto boundaries on any host.
 ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
                                  std::size_t sources, unsigned pool_workers);
 
@@ -106,9 +102,5 @@ void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
                 std::span<const Vec3> src_pos, std::span<const double> src_mass,
                 double softening2, std::size_t skip_offset,
                 std::span<Vec3> acc);
-
-/// The shared pool with its metrics observer installed (queue depth gauge,
-/// chunk/job counters).  tiled-mt dispatches run on this pool.
-support::ThreadPool& kernel_pool();
 
 }  // namespace specomp::nbody::kernels

@@ -2,8 +2,9 @@
 //
 // The adaptive-control reproduction (ROADMAP: Anselmi & Walton's speculative
 // queueing networks) needs per-link delivery-delay and per-rank service-time
-// *distributions*, not just the flat counters obs::Metrics keeps — an online
-// controller sets θ from observed tails.  Recording every sample would make
+// *distributions*, not just the run's flat counters — an online controller
+// sets θ from observed tails.  It is the one quantile type in the tree
+// (support::OnlineStats keeps moments only).  Recording every sample would make
 // trace memory scale with virtual events; instead each stream feeds a
 // DistSketch: the piecewise-parabolic (P²) estimator of Jain & Chlamtac,
 // extended to track several quantiles at once (Raatikainen's variant).

@@ -1,6 +1,6 @@
 // Minimal JSON document model for the observability layer.
 //
-// The telemetry exporters (metrics snapshots, run reports, trace files) need
+// The telemetry exporters (run and bench reports, trace files) need
 // a dependency-free way to *write* well-formed JSON with a stable key order,
 // and the test suite needs to *parse* those artifacts back to verify them.
 // This is deliberately small: numbers are doubles (with exact round-trip for

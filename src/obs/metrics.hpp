@@ -1,162 +1,15 @@
-// Process-wide metrics registry.
+// Retired metrics switch, kept so callers written against it still build.
 //
-// Hot-loop instrumentation for the engine and runtime: named monotonic
-// counters, gauges and fixed-bucket histograms, all updated with relaxed
-// atomics so the thread backend's ranks can bump them concurrently.
-//
-// Cost model.  Collection is off by default.  Instrumented objects fetch
-// *refs* (CounterRef & co.) once, at construction; while the registry is
-// disabled those refs are null and every update is a single predictable
-// branch — no lock, no atomic, no allocation on the hot path.  Binaries that
-// want telemetry call set_metrics_enabled(true) (the --metrics-out flag does
-// this) before constructing engines/communicators, and the same refs then
-// point into registry-owned storage with stable addresses.
-//
-// Registration takes a mutex; updates through refs are lock-free.  reset()
-// destroys all instruments — only call it while no instrumented object that
-// cached refs is still alive (tests reset between cases).
+// Per-run telemetry comes only from the result structs each run returns
+// (SimResult, SpecStats, ChannelStats, FaultStats), rendered by
+// obs::RunReport; there is no process-global registry to switch on.
+// set_metrics_enabled has no effect and metrics_enabled always returns
+// false.  Nothing under src/ calls either.
 #pragma once
-
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "obs/json.hpp"
 
 namespace specomp::obs {
 
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Fixed-width buckets over [lo, hi); out-of-range samples saturate into the
-/// edge buckets, so totals are never lost.
-class HistogramMetric {
- public:
-  HistogramMetric(double lo, double hi, std::size_t buckets);
-
-  void observe(double x) noexcept;
-
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bucket) const;
-  std::uint64_t total() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> total_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-// ---- Null-safe handles handed to instrumentation sites ----
-
-class CounterRef {
- public:
-  CounterRef() = default;
-  explicit CounterRef(Counter* c) noexcept : c_(c) {}
-  void inc(std::uint64_t n = 1) const noexcept {
-    if (c_ != nullptr) c_->inc(n);
-  }
-  bool live() const noexcept { return c_ != nullptr; }
-
- private:
-  Counter* c_ = nullptr;
-};
-
-class GaugeRef {
- public:
-  GaugeRef() = default;
-  explicit GaugeRef(Gauge* g) noexcept : g_(g) {}
-  void set(double v) const noexcept {
-    if (g_ != nullptr) g_->set(v);
-  }
-  bool live() const noexcept { return g_ != nullptr; }
-
- private:
-  Gauge* g_ = nullptr;
-};
-
-class HistogramRef {
- public:
-  HistogramRef() = default;
-  explicit HistogramRef(HistogramMetric* h) noexcept : h_(h) {}
-  void observe(double x) const noexcept {
-    if (h_ != nullptr) h_->observe(x);
-  }
-  bool live() const noexcept { return h_ != nullptr; }
-
- private:
-  HistogramMetric* h_ = nullptr;
-};
-
-class MetricsRegistry {
- public:
-  /// Returns a ref to the named instrument, registering it on first use.
-  /// While the registry is disabled, returns a null (no-op) ref.  A name
-  /// registered as one kind must not be re-requested as another.
-  CounterRef counter(const std::string& name);
-  GaugeRef gauge(const std::string& name);
-  HistogramRef histogram(const std::string& name, double lo, double hi,
-                         std::size_t buckets);
-
-  // ---- Read side (export / tests); snapshots are not atomic across
-  //      instruments, which is fine for post-run reporting. ----
-
-  /// Value of a registered counter; 0 when the name is unknown.
-  std::uint64_t counter_value(const std::string& name) const;
-  double gauge_value(const std::string& name) const;
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {lo, hi,
-  ///  total, sum, buckets: [...]}}} — keys sorted for stable diffs.
-  Json to_json() const;
-
-  /// Destroys every instrument.  Callers must guarantee no cached refs
-  /// outlive this (see file comment).
-  void reset();
-
-  static MetricsRegistry& global();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-};
-
-/// Master switch for metric collection; reads are lock-free.
-void set_metrics_enabled(bool on) noexcept;
-bool metrics_enabled() noexcept;
-
-/// Shorthand for MetricsRegistry::global().
-inline MetricsRegistry& metrics() { return MetricsRegistry::global(); }
+inline void set_metrics_enabled(bool /*on*/) noexcept {}
+inline bool metrics_enabled() noexcept { return false; }
 
 }  // namespace specomp::obs

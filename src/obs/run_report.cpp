@@ -1,10 +1,31 @@
 #include "obs/run_report.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/atomic_file.hpp"
 
 namespace specomp::obs {
+
+namespace {
+
+using runtime::FaultStats;
+
+/// The FaultStats counters under their "faults" keys, in declaration order,
+/// so to_json and from_json cannot drift apart.
+constexpr std::pair<const char*, std::uint64_t FaultStats::*> kFaultFields[] = {
+    {"injected_drops", &FaultStats::injected_drops},
+    {"retransmits", &FaultStats::retransmits},
+    {"messages_lost", &FaultStats::messages_lost},
+    {"injected_duplicates", &FaultStats::injected_duplicates},
+    {"duplicates_suppressed", &FaultStats::duplicates_suppressed},
+    {"injected_reorders", &FaultStats::injected_reorders},
+    {"slowdown_charges", &FaultStats::slowdown_charges},
+    {"stalls", &FaultStats::stalls},
+    {"crashed_ranks", &FaultStats::crashed_ranks},
+};
+
+}  // namespace
 
 void RunReport::fill_phases(const std::vector<runtime::PhaseTimer>& timers,
                             long run_iterations) {
@@ -43,6 +64,8 @@ void RunReport::fill_spec(const spec::SpecStats& stats) {
   theta_min_used = stats.theta_min_used;
   theta_max_used = stats.theta_max_used;
   theta_adjustments = stats.theta_adjustments;
+  degraded_entries = stats.degraded_entries;
+  degraded_iterations = stats.degraded_iterations;
 }
 
 void RunReport::fill_channel(const net::ChannelStats& stats) {
@@ -72,6 +95,16 @@ void RunReport::fill_dists(const std::vector<NamedDist>& dists) {
     row.p99 = nd.sketch.quantile(0.99);
     distributions.push_back(std::move(row));
   }
+}
+
+void RunReport::fill_sim(const runtime::SimResult& sim, long run_iterations) {
+  makespan_seconds = sim.makespan_seconds;
+  fill_phases(sim.timers, run_iterations);
+  fill_channel(sim.channel_stats);
+  fill_dists(sim.dists);
+  des_events = sim.kernel_stats.events_executed;
+  des_queue_peak = sim.kernel_stats.queue_peak;
+  hb_events_checked = sim.hb_events_checked;
 }
 
 double RunReport::phase_mean_per_iteration(const std::string& phase) const {
@@ -128,6 +161,8 @@ Json RunReport::to_json() const {
   spec.set("theta_min_used", theta_min_used);
   spec.set("theta_max_used", theta_max_used);
   spec.set("theta_adjustments", theta_adjustments);
+  spec.set("degraded_entries", degraded_entries);
+  spec.set("degraded_iterations", degraded_iterations);
   doc.set("speculation", std::move(spec));
 
   Json comm = Json::object();
@@ -135,6 +170,18 @@ Json RunReport::to_json() const {
   comm.set("bytes", bytes);
   comm.set("mean_delay_seconds", mean_delay_seconds);
   doc.set("network", std::move(comm));
+
+  Json des = Json::object();
+  des.set("events", des_events);
+  des.set("queue_peak", des_queue_peak);
+  des.set("hb_events_checked", hb_events_checked);
+  doc.set("des", std::move(des));
+
+  if (faults) {
+    Json f = Json::object();
+    for (const auto& [key, field] : kFaultFields) f.set(key, (*faults).*field);
+    doc.set("faults", std::move(f));
+  }
 
   if (!distributions.empty()) {
     Json rows = Json::array();
@@ -222,11 +269,29 @@ RunReport RunReport::from_json(const Json& doc) {
     report.theta_max_used = v->as_double();
   if (const Json* v = spec.find("theta_adjustments"))
     report.theta_adjustments = v->as_uint();
+  // Absent in reports written before they joined the speculation block.
+  if (const Json* v = spec.find("degraded_entries"))
+    report.degraded_entries = v->as_uint();
+  if (const Json* v = spec.find("degraded_iterations"))
+    report.degraded_iterations = v->as_uint();
 
   const Json& comm = doc.at("network");
   report.messages = comm.at("messages").as_uint();
   report.bytes = comm.at("bytes").as_uint();
   report.mean_delay_seconds = comm.at("mean_delay_seconds").as_double();
+
+  // "des" and "faults" are optional: older v2 documents predate them, and
+  // "faults" appears only when a fault plan was armed.
+  if (const Json* des = doc.find("des")) {
+    report.des_events = des->at("events").as_uint();
+    report.des_queue_peak = des->at("queue_peak").as_uint();
+    report.hb_events_checked = des->at("hb_events_checked").as_uint();
+  }
+  if (const Json* f = doc.find("faults")) {
+    report.faults.emplace();
+    for (const auto& [key, field] : kFaultFields)
+      (*report.faults).*field = f->at(key).as_uint();
+  }
 
   if (const Json* dists = doc.find("distributions")) {
     for (const Json& r : dists->as_array()) {

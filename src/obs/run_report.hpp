@@ -4,13 +4,16 @@
 // collecting everything the paper's evaluation tables need: the run
 // configuration (FW, θ, speculator, cluster shape), the Table-2 phase
 // breakdown from runtime::PhaseTimer, the Table-3 speculation outcome from
-// spec::SpecStats, and the network totals from net::ChannelStats.  Every
-// bench binary and example can emit one, so BENCH_*.json trajectories are
-// comparable across PRs.  from_json() restores a report, which is how the
-// tests prove the schema round-trips.
+// spec::SpecStats, the network totals from net::ChannelStats, and the
+// simulation-kernel and fault counts from runtime::SimResult.  It is the one
+// per-run telemetry document: every field is read from the result structs
+// the run itself returned, never from process-global state, so concurrent
+// sweep lanes cannot bleed into each other's reports.  from_json() restores
+// a report, which is how the tests prove the schema round-trips.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,15 +21,18 @@
 #include "obs/dist_sketch.hpp"
 #include "obs/json.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/phase_timer.hpp"
+#include "runtime/sim_comm.hpp"
 #include "spec/stats.hpp"
 
 namespace specomp::obs {
 
 inline constexpr const char* kRunReportSchema = "specomp.run_report.v2";
 /// Current document version; from_json() also accepts v1 documents (which
-/// simply lack the "distributions" section) and rejects anything newer or
-/// unknown with a clear error.
+/// simply lack the "distributions" section) and v2 documents written before
+/// the "des" / "faults" blocks and the degraded counters, and rejects
+/// anything newer or unknown with a clear error.
 inline constexpr int kRunReportVersion = 2;
 inline constexpr const char* kRunReportSchemaV1 = "specomp.run_report.v1";
 
@@ -70,11 +76,24 @@ struct RunReport {
   double theta_min_used = 0.0;
   double theta_max_used = 0.0;
   std::uint64_t theta_adjustments = 0;
+  // Graceful degradation (EngineConfig::graceful_degradation).
+  std::uint64_t degraded_entries = 0;
+  std::uint64_t degraded_iterations = 0;
 
   // ---- Network totals ----
   std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = 0;         // wire bytes: payload + per-message framing
   double mean_delay_seconds = 0.0;
+
+  // ---- Simulation kernel ("des" block) ----
+  std::uint64_t des_events = 0;        // des::KernelStats::events_executed
+  std::uint64_t des_queue_peak = 0;    // des::KernelStats::queue_peak
+  std::uint64_t hb_events_checked = 0; // SimResult::hb_events_checked
+
+  // ---- Fault injection ----
+  /// The run's FaultStats; set only when a fault plan was armed, so
+  /// fault-free reports carry no "faults" block.
+  std::optional<runtime::FaultStats> faults;
 
   // ---- Observed distributions (schema v2) ----
   /// One summary row per DistSketch the run recorded (per-link delivery
@@ -107,6 +126,11 @@ struct RunReport {
   void fill_cluster(const runtime::Cluster& cluster);
   /// Summarises SimResult::dists into `distributions`.
   void fill_dists(const std::vector<NamedDist>& dists);
+  /// Everything a simulated run returns about itself: makespan, phases
+  /// (fill_phases), network totals, distributions and the "des" block.
+  /// `faults` stays the caller's call, since only it knows whether a plan
+  /// was armed.
+  void fill_sim(const runtime::SimResult& sim, long run_iterations);
 
   /// Mean per-iteration seconds recorded for `phase` (0 when absent).
   double phase_mean_per_iteration(const std::string& phase) const;

@@ -23,12 +23,11 @@
 // flat and tree produce bit-identical results for non-associative folds like
 // floating-point sum.
 //
-// Telemetry: every constituent message increments the aggregated
-// "collectives.messages" / "collectives.bytes" counters (plus the
-// per-collective call counters), and — because the traffic flows through the
-// ordinary send/recv paths — each hop emits the usual causal Send/Recv trace
-// edges, so spectrace critical paths attribute collective hops like any
-// other message.
+// Telemetry: collective traffic flows through the ordinary send/recv paths,
+// so every hop is counted in the run's ChannelStats (SimResult, and the run
+// report's `network` block) and emits the usual causal Send/Recv trace
+// edges — spectrace critical paths attribute collective hops like any other
+// message.
 #pragma once
 
 #include <span>

@@ -70,6 +70,9 @@ struct SimResult {
   des::Trace trace;
   /// Fault-injection bookkeeping; all zeros when SimConfig::fault is unset.
   FaultStats fault_stats;
+  /// Send/receive/barrier events the happens-before detector checked; 0
+  /// unless SimConfig::hb_check is on in a -DSPECOMP_HB_CHECK=ON build.
+  std::uint64_t hb_events_checked = 0;
   /// Observed distributions ("link_delay.S->D", "service.rankR"); empty
   /// unless SimConfig::record_dists.  Links with no traffic are omitted.
   std::vector<obs::NamedDist> dists;
@@ -114,7 +117,7 @@ class SimCommunicator final : public Communicator {
   des::SpanKind span_kind_for(Phase phase) const;
   net::Message recv_blocking(bool any, net::Rank src, int tag);
   /// Bookkeeping common to every successful receive (hb check, phase timer,
-  /// metrics, Wait trace span).
+  /// Wait trace span).
   void note_received(const net::Message& msg, des::SimTime wait_begin);
   /// Causal Recv edge endpoint + link-delay distribution sample; shared by
   /// every receive path.

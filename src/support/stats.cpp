@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "support/contracts.hpp"
 
 namespace specomp::support {
 
@@ -44,86 +41,5 @@ double OnlineStats::variance() const noexcept {
 }
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double SampleSet::mean() const noexcept {
-  OnlineStats s;
-  for (double x : samples_) s.add(x);
-  return s.mean();
-}
-
-double SampleSet::stddev() const noexcept {
-  OnlineStats s;
-  for (double x : samples_) s.add(x);
-  return s.stddev();
-}
-
-double SampleSet::min() const noexcept {
-  return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const noexcept {
-  return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::quantile(double q) const {
-  SPEC_EXPECTS(!samples_.empty());
-  SPEC_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted.size()) return sorted.back();
-  return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SPEC_EXPECTS(hi > lo);
-  SPEC_EXPECTS(buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  SPEC_EXPECTS(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  SPEC_EXPECTS(bucket < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar = counts_[b] * width / peak;
-    out << "[";
-    out.width(10);
-    out << bucket_lo(b) << ", ";
-    out.width(10);
-    out << bucket_hi(b) << ") ";
-    out.width(8);
-    out << counts_[b] << " " << std::string(bar, '#') << "\n";
-  }
-  return out.str();
-}
 
 }  // namespace specomp::support

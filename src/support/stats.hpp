@@ -1,9 +1,8 @@
-// Online statistics and histogram utilities used by the measurement layer.
+// Online moments (mean/variance/min/max) used by the measurement layer.
+// Quantiles live in obs::DistSketch.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace specomp::support {
 
@@ -29,47 +28,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Collects raw samples for exact quantiles; suitable for the modest sample
-/// counts produced by per-iteration measurements.
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); }
-  std::size_t count() const noexcept { return samples_.size(); }
-  double mean() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  /// Linear-interpolated quantile, q in [0, 1]. Requires at least 1 sample.
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-  const std::vector<double>& samples() const noexcept { return samples_; }
-
- private:
-  std::vector<double> samples_;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples land in
-/// saturating edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const;
-  std::size_t total() const noexcept { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-  /// Renders a fixed-width ASCII bar chart (one row per bucket).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace specomp::support

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -57,6 +58,11 @@ struct AppCase {
   std::string scenario;  // type name validation errors must carry
   std::function<runtime::SimResult(const Tweak&)> run;
 };
+
+// Without a printer gtest writes the struct's raw bytes into each test's
+// "GetParam() =" listing, and those bytes start with a heap pointer, so the
+// discovered test names changed from one build (and one run) to the next.
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.scenario; }
 
 class AppDriver : public ::testing::TestWithParam<AppCase> {
  protected:

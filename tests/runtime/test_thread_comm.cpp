@@ -139,10 +139,16 @@ TEST(ThreadComm, InjectedLatencyDelaysDelivery) {
   config.latency_seconds = 0.05;
   double waited = 0.0;
   run_threaded(config, [&](Communicator& comm) {
+    // Rank 1 reads its clock before the barrier and rank 0 sends after it,
+    // so the whole injected latency falls inside the measured interval.
+    // (At p = 2 the barrier is the condition-variable one: no messages, no
+    // injected delay of its own.)
+    double before = 0.0;
+    if (comm.rank() == 1) before = comm.time_seconds();
+    comm.barrier();
     if (comm.rank() == 0) {
       comm.send_doubles(1, 1, std::vector<double>{1.0});
     } else {
-      const double before = comm.time_seconds();
       (void)comm.recv(0, 1);
       waited = comm.time_seconds() - before;
     }

@@ -67,44 +67,5 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_NEAR(empty.mean(), 1.5, 1e-12);
 }
 
-TEST(SampleSet, QuantilesOfKnownData) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_NEAR(s.median(), 50.5, 1e-12);
-  EXPECT_NEAR(s.quantile(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(s.quantile(1.0), 100.0, 1e-12);
-  EXPECT_NEAR(s.quantile(0.25), 25.75, 1e-12);
-}
-
-TEST(SampleSet, SingleSampleQuantile) {
-  SampleSet s;
-  s.add(7.0);
-  EXPECT_EQ(s.quantile(0.99), 7.0);
-  EXPECT_EQ(s.min(), 7.0);
-  EXPECT_EQ(s.max(), 7.0);
-}
-
-TEST(Histogram, BucketsAndSaturation) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to 0
-  h.add(50.0);  // clamps to 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 4.0);
-}
-
-TEST(Histogram, AsciiRendersOneRowPerBucket) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
-}
-
 }  // namespace
 }  // namespace specomp::support
