@@ -39,7 +39,7 @@ class EventFn {
       ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(fn));
       ops_ = &inline_ops<Fn>;
     } else {
-      // specomp-lint: allow(naked-new): type-erased fallback slot; ownership is released by heap_ops::destroy below
+      // specomp: allow(naked-new): type-erased fallback slot; ownership is released by heap_ops::destroy below
       Fn* heap = new Fn(std::forward<F>(fn));
       ::new (static_cast<void*>(buffer_)) Fn*(heap);
       ops_ = &heap_ops<Fn>;
@@ -102,7 +102,7 @@ class EventFn {
   template <typename Fn>
   static constexpr Ops heap_ops = {
       [](void* p) { (**static_cast<Fn**>(p))(); },
-      // specomp-lint: allow(naked-new): destroy op of the type-erased heap fallback; pairs the constructor's allocation
+      // specomp: allow(naked-new): destroy op of the type-erased heap fallback; pairs the constructor's allocation
       [](void* p) noexcept { delete *static_cast<Fn**>(p); },
       [](void* dst, void* src) noexcept {
         ::new (dst) Fn*(*static_cast<Fn**>(src));

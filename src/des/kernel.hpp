@@ -57,7 +57,7 @@ class Kernel {
   /// Creates a process whose body runs `fn`.  The process starts at time
   /// `start` (default: immediately at the current time).  The returned
   /// pointer remains owned by the kernel and is valid for its lifetime.
-  // specomp-lint: allow(hot-path-callable): spawn runs once per process at setup, never on the per-event hot path
+  // specomp: allow(hot-path-callable): spawn runs once per process at setup, never on the per-event hot path
   Process* spawn(std::string name, std::function<void(Process&)> fn,
                  SimTime start = SimTime::zero());
 

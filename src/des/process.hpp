@@ -34,7 +34,7 @@ class Process {
     Finished,     // body returned
   };
 
-  // specomp-lint: allow(hot-path-callable): the body callable is invoked once per process lifetime, not per event
+  // specomp: allow(hot-path-callable): the body callable is invoked once per process lifetime, not per event
   Process(Kernel& kernel, std::string name, std::function<void(Process&)> body,
           std::uint64_t id);
   ~Process();
@@ -75,7 +75,7 @@ class Process {
 
   Kernel& kernel_;
   std::string name_;
-  // specomp-lint: allow(hot-path-callable): stored body, called once at process start
+  // specomp: allow(hot-path-callable): stored body, called once at process start
   std::function<void(Process&)> body_;
   std::uint64_t id_;
 

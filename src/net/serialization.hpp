@@ -91,8 +91,8 @@ class ByteReader {
     SPEC_EXPECTS(pos_ + count * sizeof(T) <= bytes_.size());
     const std::byte* raw = bytes_.data() + pos_;
     // Payload vectors are allocator-aligned and every write_span is preceded
-    // by an 8-byte count, so in-place reinterpretation is safe; guard anyway
-    // against payloads built by hand with odd prefixes.
+    // by an 8-byte count, so in-place reads are safe unless built by hand.
+    // specomp: allow(ptr-cast): alignment assert only, the value never escapes
     SPEC_EXPECTS(reinterpret_cast<std::uintptr_t>(raw) % alignof(T) == 0);
     pos_ += count * sizeof(T);
     return {reinterpret_cast<const T*>(raw), static_cast<std::size_t>(count)};

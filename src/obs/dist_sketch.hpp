@@ -11,8 +11,8 @@
 //
 // Properties the hot path relies on:
 //   * fixed size — 2m+3 markers in std::array storage, no heap, ever;
-//   * O(m) per observe(), allocation-free (specomp-lint hot-path scope
-//     covers this header);
+//   * O(m) per observe(), allocation-free (specomp-analyze's
+//     hot-path-callable scope covers this header);
 //   * exact while count ≤ marker count, asymptotically consistent after.
 //
 // Estimates are deterministic functions of the sample sequence, so sketch

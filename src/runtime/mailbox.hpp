@@ -164,7 +164,7 @@ class SimMailbox {
 /// a message becomes receivable only once its delivery time has passed.
 class TimedMailbox {
  public:
-  // specomp-lint: allow(wall-clock): TimedMailbox serves the real-thread backend, whose delivery delays are genuine wall time
+  // specomp: allow(wall-clock): TimedMailbox serves the real-thread backend, whose delivery delays are genuine wall time
   using Clock = std::chrono::steady_clock;
 
   explicit TimedMailbox(int num_sources,

@@ -16,7 +16,7 @@ namespace specomp::runtime {
 
 namespace {
 
-// specomp-lint: allow(wall-clock): the thread backend measures genuine wall time by design; SimCommunicator is the deterministic instrument
+// specomp: allow(wall-clock): the thread backend measures genuine wall time by design; SimCommunicator is the deterministic instrument
 using Clock = std::chrono::steady_clock;
 
 des::SimTime elapsed_since(Clock::time_point start) {

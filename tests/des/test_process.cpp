@@ -124,7 +124,8 @@ TEST(Process, ManyProcessesDeterministicCompletion) {
   Kernel kernel;
   std::vector<int> finish_order;
   for (int i = 0; i < 20; ++i) {
-    kernel.spawn("p" + std::to_string(i), [&finish_order, i](Process& proc) {
+    const std::string name = std::string("p").append(std::to_string(i));
+    kernel.spawn(name, [&finish_order, i](Process& proc) {
       proc.advance(SimTime::seconds((i * 7) % 5 + 1));
       finish_order.push_back(i);
     });
@@ -135,7 +136,8 @@ TEST(Process, ManyProcessesDeterministicCompletion) {
   Kernel kernel2;
   std::vector<int> finish_order2;
   for (int i = 0; i < 20; ++i) {
-    kernel2.spawn("p" + std::to_string(i), [&finish_order2, i](Process& proc) {
+    const std::string name = std::string("p").append(std::to_string(i));
+    kernel2.spawn(name, [&finish_order2, i](Process& proc) {
       proc.advance(SimTime::seconds((i * 7) % 5 + 1));
       finish_order2.push_back(i);
     });

@@ -148,9 +148,9 @@ INSTANTIATE_TEST_SUITE_P(
       std::string spec_name = std::get<3>(info.param);
       for (auto& ch : spec_name)
         if (ch == '-') ch = '_';
-      return "p" + std::to_string(std::get<0>(info.param)) + "_fw" +
-             std::to_string(std::get<1>(info.param)) + "_" + theta_name + "_" +
-             spec_name;
+      return std::string("p").append(std::to_string(std::get<0>(info.param))) +
+             "_fw" + std::to_string(std::get<1>(info.param)) + "_" +
+             theta_name + "_" + spec_name;
     });
 
 // Deeper windows may never slow the pipeline down on a clean, jitter-free

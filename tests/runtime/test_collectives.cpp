@@ -188,7 +188,8 @@ TEST_P(TreeCollectives, AllOpsCorrectOnThreadBackend) {
 INSTANTIATE_TEST_SUITE_P(AwkwardRankCounts, TreeCollectives,
                          ::testing::ValuesIn(kAwkwardRanks),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "p" + std::to_string(info.param);
+                           return std::string("p").append(
+                               std::to_string(info.param));
                          });
 
 TEST(TreeCollectives, ReductionsBitIdenticalToFlat) {

@@ -80,6 +80,7 @@ class ToyApp final : public SyncIterativeApp {
   long iteration() const noexcept { return iteration_; }
 
  private:
+  // specomp: rollback-covered(rank_): immutable rank index; only ever read
   int rank_;
   int size_;
   double coupling_;
@@ -88,6 +89,9 @@ class ToyApp final : public SyncIterativeApp {
   double jump_size_;
   double x_ = 0.0;
   long iteration_ = 0;
+  // specomp: rollback-covered(view_): peer entries are rewritten by
+  // install_peer during replay and the own entry by compute_step before the
+  // coupling sum is read
   std::vector<double> view_;
 };
 

@@ -2,8 +2,8 @@
 #include <chrono>
 
 double wall_probe() {
-  // specomp-lint: allow(wall-clock): fixture exercising the directive above a line
+  // specomp: allow(wall-clock): fixture exercising the directive above a line
   auto a = std::chrono::steady_clock::now();
-  auto b = std::chrono::steady_clock::now();  // specomp-lint: allow(wall-clock): same-line directive
+  auto b = std::chrono::steady_clock::now();  // specomp: allow(wall-clock): same-line directive
   return std::chrono::duration<double>(b - a).count();
 }

@@ -1,4 +1,4 @@
-// Fixture: std::function in a DES hot-path header.  Linted under the
+// Fixture: std::function in a DES hot-path header.  Checked under the
 // synthetic path src/des/fixture.hpp.
 #pragma once
 #include <functional>

@@ -1,4 +1,4 @@
-// Fixture: naked new/delete outside src/support.  Linted under the
+// Fixture: naked new/delete outside src/support.  Checked under the
 // synthetic path src/spec/fixture.cpp.
 struct Node {
   int value = 0;

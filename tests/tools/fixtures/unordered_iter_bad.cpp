@@ -1,5 +1,5 @@
 // Fixture: iterating an unordered container in order-sensitive code.
-// Linted under the synthetic path src/runtime/fixture.cpp.
+// Checked under the synthetic path src/runtime/fixture.cpp.
 #include <string>
 #include <unordered_map>
 

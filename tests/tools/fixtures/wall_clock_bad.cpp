@@ -1,5 +1,5 @@
 // Fixture: wall-clock reads inside deterministic simulation code.
-// Linted under the synthetic path src/des/fixture.cpp.
+// Checked under the synthetic path src/des/fixture.cpp.
 #include <chrono>
 #include <ctime>
 

@@ -1,13 +1,12 @@
 #include "analyze_core.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <deque>
 #include <map>
 #include <set>
 #include <sstream>
-#include <stdexcept>
-
-#include "obs/json.hpp"
+#include <tuple>
 
 namespace specana {
 
@@ -20,48 +19,104 @@ using specscan::Token;
 // Rule table
 // ---------------------------------------------------------------------------
 
-const std::vector<std::pair<std::string, std::string>> kRules = {
+// Directories whose code decides virtual time or executes inside the
+// deterministic simulation world.  Wall clocks and ambient randomness there
+// break run-to-run bit identity whether or not a replay path reaches them.
+const std::vector<std::string_view> kDeterministicDirs = {
+    "src/des/", "src/runtime/", "src/spec/", "src/nbody/"};
+
+// Directories whose iteration order reaches serialized output or
+// virtual-time decisions (the simulation world plus the telemetry
+// serializers).  std::map is fine; unordered containers are not.
+const std::vector<std::string_view> kOrderSensitiveDirs = {
+    "src/des/", "src/runtime/", "src/spec/", "src/nbody/", "src/obs/"};
+
+const std::vector<RuleSpec> kRules = {
     {"wall-clock",
-     "wall-clock source reachable from a speculation replay path"},
+     "wall-clock read (system_clock/steady_clock/time()/clock()/...) in "
+     "deterministic simulation code or on a replay path",
+     kDeterministicDirs, {}, false, true},
     {"ambient-rand",
-     "ambient (unseeded) randomness reachable from a replay path"},
+     "ambient randomness (rand()/random_device/default-seeded engine) in "
+     "deterministic simulation code or on a replay path",
+     kDeterministicDirs, {}, false, true},
     {"thread-id",
      "thread identity observed on a replay path — rank must come from the "
-     "communicator"},
+     "communicator",
+     {}, {}, false, true},
     {"ptr-cast",
      "pointer value converted to an integer on a replay path — addresses "
-     "differ across runs"},
+     "differ across runs",
+     {}, {}, false, true},
     {"unordered-iter",
-     "iteration over an unordered container on a replay path — visit order "
-     "is hash-seed dependent"},
-    {"hot-path-new",
-     "raw allocation on a replay path — allocation is timing- and "
-     "placement-nondeterministic"},
+     "iteration over an unordered container in order-sensitive code or on "
+     "a replay path — visit order is hash-seed dependent",
+     kOrderSensitiveDirs, {}, false, true},
+    {"naked-new",
+     "naked new/delete outside src/support or on a replay path — own the "
+     "allocation with a container, std::unique_ptr or an arena",
+     {"src/", "bench/", "tests/"}, {"src/support/"}, false, true},
+    {"hot-path-callable",
+     "std::function/std::bind in a DES hot-path header (regresses the "
+     "allocation-free event arena; use des::EventFn or a template parameter)",
+     // Trace/distribution emission sits on the send/recv/compute hot paths,
+     // so its headers get the same no-type-erased-callables discipline, as
+     // do the collectives (every hop is a hot-path send/recv), the force
+     // kernels (the per-pair inner loops), the integrator family (invoked
+     // once per stage per step, with the force model on the stack), and the
+     // CPUID feature probe (consulted on every kernel dispatch).
+     // (runtime/communicator.hpp stays out: RankBody is std::function by
+     // design — it is invoked once per rank, not per event.)
+     {"src/des/", "src/obs/dist_sketch", "src/obs/trace_export",
+      "src/runtime/collective", "src/nbody/kernels/",
+      "src/nbody/integrators/", "src/support/cpu_features"},
+     {}, true, false},
     {"rollback-unsaved-field",
      "member mutated by the step/install/correct path but not covered by "
-     "save_state/restore_state/pack_local"},
+     "save_state/restore_state/pack_local",
+     {}, {}, false, false},
     {"rollback-static",
      "static or mutable state touched by a rollback-scoped method — shared "
-     "across snapshots, escapes restore_state"},
+     "across snapshots, escapes restore_state",
+     {}, {}, false, false},
     {"rollback-io",
      "file I/O inside a rollback-scoped method — externally visible effects "
-     "cannot be rolled back"},
+     "cannot be rolled back",
+     {}, {}, false, false},
     {"rollback-rng",
      "RNG advanced inside a rollback-scoped method — stream position escapes "
-     "the snapshot"},
+     "the snapshot",
+     {}, {}, false, false},
     {"bad-annotation",
      "malformed specomp: directive (unknown rule id, unknown form, or "
-     "missing justification)"},
+     "missing justification)",
+     {}, {}, false, false},
 };
 
-bool known_rule(std::string_view id) {
+const RuleSpec* find_rule(std::string_view id) {
   for (const auto& r : kRules)
-    if (r.first == id) return true;
-  return false;
+    if (r.id == id) return &r;
+  return nullptr;
+}
+
+bool is_header(std::string_view path) {
+  return path.ends_with(".hpp") || path.ends_with(".h") ||
+         path.ends_with(".hh");
+}
+
+// The prefix of `rule`'s directory scope that covers `path`, or "" when the
+// path lies outside it.
+std::string_view scope_prefix(const RuleSpec& rule, std::string_view path) {
+  if (rule.headers_only && !is_header(path)) return {};
+  for (const std::string_view ex : rule.exclude)
+    if (path.starts_with(ex)) return {};
+  for (const std::string_view p : rule.scope)
+    if (path.starts_with(p)) return p;
+  return {};
 }
 
 // ---------------------------------------------------------------------------
-// Seed vocabularies (mirror tools/lint where the rules overlap)
+// Seed vocabularies
 // ---------------------------------------------------------------------------
 
 const std::set<std::string_view> kClockIdents = {
@@ -71,6 +126,10 @@ const std::set<std::string_view> kClockIdents = {
 
 const std::set<std::string_view> kRandCalls = {"rand", "srand", "drand48",
                                                "lrand48", "mrand48"};
+
+const std::set<std::string_view> kEngines = {
+    "mt19937",  "mt19937_64", "minstd_rand",           "minstd_rand0",
+    "ranlux24", "ranlux48",   "default_random_engine", "knuth_b"};
 
 const std::set<std::string_view> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
@@ -84,9 +143,14 @@ const std::set<std::string_view> kMutatingMembers = {
 const std::set<std::string_view> kIoIdents = {
     "ofstream", "fstream", "fopen", "fwrite", "fprintf", "fputs", "FILE"};
 
+// Keywords that can legitimately precede a call expression; any other
+// preceding identifier means `name(` is a declaration (`VectorClock
+// clock(int)`), not a call to the libc function.
+const std::set<std::string_view> kCallPrecedingKeywords = {
+    "return", "co_return", "co_yield", "case", "throw", "else", "do"};
+
 // ---------------------------------------------------------------------------
 // Annotations: specomp: pure / rollback-covered(field): why / allow(rule): why
-// plus the pre-existing specomp-lint: allow(rule): why directives.
 // ---------------------------------------------------------------------------
 
 struct FileAnnotations {
@@ -141,47 +205,22 @@ bool has_justification(const std::string& text, std::size_t k) {
 FileAnnotations parse_annotations(std::string_view path,
                                   const std::vector<ScannedLine>& lines) {
   FileAnnotations a;
-  constexpr std::string_view kLintDirective = "specomp-lint:";
   constexpr std::string_view kDirective = "specomp:";
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const std::string& comment = lines[li].comment;
     const int line_no = static_cast<int>(li) + 1;
-
-    // specomp-lint: allow(...) — lint validates these itself; the analyzer
-    // just honours the ids it shares with lint.
-    std::size_t pos = comment.find(kLintDirective);
+    std::size_t pos = comment.find(kDirective);
     while (pos != std::string::npos) {
-      std::size_t i = pos + kLintDirective.size();
-      while (i < comment.size() && comment[i] == ' ') ++i;
-      if (comment.compare(i, 6, "allow(") == 0) {
-        std::size_t close = std::string::npos;
-        for (const auto& id : parse_id_list(comment, i + 6, close))
-          if (!id.empty()) a.allows[line_no].insert(id);
-        if (close == std::string::npos) break;
-        pos = comment.find(kLintDirective, close);
-      } else {
-        pos = comment.find(kLintDirective, i);
-      }
-    }
-
-    // The analyzer's own directives, strictly validated.
-    pos = comment.find(kDirective);
-    while (pos != std::string::npos) {
-      // Reject prose matches: "specomp::obs" (namespace) and the lint
-      // directive's own prefix overlap.
+      // Reject prose matches: "specomp::obs" is a namespace, not a directive.
       if (pos + kDirective.size() < comment.size() &&
           comment[pos + kDirective.size()] == ':') {
         pos = comment.find(kDirective, pos + kDirective.size() + 1);
         continue;
       }
-      if (pos >= 5 && comment.compare(pos - 5, 5, "-lint") == 0) {
-        pos = comment.find(kDirective, pos + kDirective.size());
-        continue;
-      }
       std::size_t i = pos + kDirective.size();
       auto fail = [&](const std::string& why) {
         a.bad.push_back({"bad-annotation", std::string(path), line_no,
-                         std::string{}, why, {}, false});
+                         std::string{}, why, {}});
       };
       while (i < comment.size() && comment[i] == ' ') ++i;
       if (comment.compare(i, 4, "pure") == 0 &&
@@ -201,7 +240,7 @@ FileAnnotations parse_annotations(std::string_view path,
         }
         bool ok = true;
         for (const auto& id : ids) {
-          if (id.empty() || !known_rule(id)) {
+          if (id.empty() || find_rule(id) == nullptr) {
             fail("unknown rule id '" + id + "' in specomp: allow(...)");
             ok = false;
           }
@@ -243,14 +282,15 @@ FileAnnotations parse_annotations(std::string_view path,
 }
 
 // ---------------------------------------------------------------------------
-// Seeds
+// Seeds: one matcher per determinism rule, over the whole file
 // ---------------------------------------------------------------------------
 
 struct Seed {
-  std::string rule;
-  std::string token;  // the seed identifier, for the message
+  std::string_view rule;
+  std::string token;  // what matched, for the message
   int line = 0;
-  std::size_t symbol = 0;  // enclosing symbol (global index)
+  bool in_body = false;
+  std::size_t symbol = 0;  // enclosing symbol (global index) when in_body
 };
 
 // Maps a token index to the symbol whose body contains it, via the sorted
@@ -280,64 +320,145 @@ class BodyMap {
   std::vector<Range> ranges_;
 };
 
-void collect_seeds(const FileIndex& file, const std::vector<Symbol>& symbols,
-                   const FileAnnotations& ann, std::vector<Seed>& out) {
-  const BodyMap bodies(file, symbols);
-  const auto& toks = file.tokens;
-  const auto tok = [&](std::size_t i) {
-    return i < toks.size() ? toks[i].text : std::string_view{};
-  };
-  // Which symbols' bodies mention an unordered container (feeds the
-  // range-for heuristic below).
-  std::set<std::size_t> has_unordered;
+/// Token-stream view shared by the seed matchers and the rollback pass.
+struct Tokens {
+  const std::vector<Token>& toks;
 
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    std::size_t sym = 0;
-    if (!bodies.enclosing(i, sym)) continue;
-    const std::string_view t = toks[i].text;
-    const int line = toks[i].line;
-    auto add = [&](std::string_view rule) {
-      if (ann.allowed(line, rule)) return;
-      out.push_back({std::string(rule), std::string(t), line, sym});
-    };
-    if (kClockIdents.count(t) != 0) {
-      add("wall-clock");
-    } else if (t == "random_device" ||
-               (kRandCalls.count(t) != 0 && tok(i + 1) == "(" &&
-                (i == 0 || (tok(i - 1) != "." && tok(i - 1) != "->" &&
-                            tok(i - 1) != "::")))) {
-      add("ambient-rand");
-    } else if (t == "get_id" && tok(i + 1) == "(") {
-      add("thread-id");
-    } else if (t == "uintptr_t" || t == "intptr_t") {
-      add("ptr-cast");
-    } else if (t == "new" && tok(i + 1) != "(") {  // placement new exempt
-      add("hot-path-new");
-    } else if (kUnorderedContainers.count(t) != 0) {
-      has_unordered.insert(sym);
-    }
+  std::string_view operator()(std::size_t i) const {
+    return i < toks.size() ? toks[i].text : std::string_view{};
+  }
+  std::string_view prev(std::size_t i) const {
+    return i > 0 ? (*this)(i - 1) : std::string_view{};
   }
 
-  // Range-for inside a body that also mentions an unordered container: the
-  // visit order is hash-seed (and address) dependent.  A sorted snapshot
-  // helper breaks the pattern — and a false pairing is silenced with
-  // `// specomp: allow(unordered-iter): <why>` on the loop line.
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].text != "for" || toks[i + 1].text != "(") continue;
-    std::size_t sym = 0;
-    if (!bodies.enclosing(i, sym) || has_unordered.count(sym) == 0) continue;
-    int depth = 0;
-    bool range_for = false;
-    for (std::size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].text == "(") ++depth;
-      else if (toks[j].text == ")" && --depth == 0) break;
-      else if (toks[j].text == ":" && depth == 1) {
-        range_for = true;
-        break;
+  /// `rand()`-family call or std::random_device: the ambient PRNGs.  A
+  /// member call (`eng.rand()`) is some other object's method.
+  bool ambient_rng(std::size_t i) const {
+    const std::string_view t = (*this)(i);
+    if (t == "random_device") return true;
+    return kRandCalls.count(t) != 0 && (*this)(i + 1) == "(" &&
+           prev(i) != "." && prev(i) != "->";
+  }
+
+  /// `std::mt19937 gen;` / `std::mt19937 gen{};` — default seed, so every
+  /// build/library combination rolls different streams.
+  bool default_seeded_engine(std::size_t i) const {
+    if (kEngines.count((*this)(i)) == 0 ||
+        !specscan::is_identifier((*this)(i + 1)))
+      return false;
+    const std::string_view after = (*this)(i + 2);
+    return after == ";" || (after == "{" && (*this)(i + 3) == "}");
+  }
+
+  /// A call to the libc `time()` / `clock()`: not a member
+  /// (`HbChecker::clock(r)`, `sim.time()`) and not a declaration.
+  bool libc_time_call(std::size_t i) const {
+    const std::string_view t = (*this)(i);
+    if ((t != "time" && t != "clock") || (*this)(i + 1) != "(") return false;
+    const std::string_view p = prev(i);
+    if (p.empty()) return true;
+    if (p == "." || p == "->") return false;
+    if (p == "::") return i >= 2 && (*this)(i - 2) == "std";
+    return !specscan::is_identifier(p) || kCallPrecedingKeywords.count(p) != 0;
+  }
+
+  /// The variable a `std::unordered_*<...>` type at `i` declares, if any:
+  /// locals, members and parameters (`const std::unordered_map<K, V>& m`).
+  std::string_view declared_name(std::size_t i) const {
+    std::size_t j = i + 1;
+    if ((*this)(j) == "<") {
+      int depth = 1;
+      ++j;
+      while (j < toks.size() && depth > 0) {
+        if ((*this)(j) == "<") ++depth;
+        if ((*this)(j) == ">") --depth;
+        ++j;
       }
     }
-    if (!range_for || ann.allowed(toks[i].line, "unordered-iter")) continue;
-    out.push_back({"unordered-iter", "for(:)", toks[i].line, sym});
+    while ((*this)(j) == "&" || (*this)(j) == "&&" || (*this)(j) == "*" ||
+           (*this)(j) == "const")
+      ++j;
+    return specscan::is_identifier((*this)(j)) ? (*this)(j)
+                                               : std::string_view{};
+  }
+};
+
+void collect_seeds(const FileIndex& file, const std::vector<Symbol>& symbols,
+                   std::vector<Seed>& out) {
+  const BodyMap bodies(file, symbols);
+  const Tokens tok{file.tokens};
+  const std::size_t n = file.tokens.size();
+  auto add = [&](std::size_t at, std::string_view rule, std::string token) {
+    Seed s{rule, std::move(token), file.tokens[at].line, false, 0};
+    s.in_body = bodies.enclosing(at, s.symbol);
+    out.push_back(std::move(s));
+  };
+
+  // Names declared with an unordered container type anywhere in the file,
+  // and the bodies that mention such a type; both feed unordered-iter.
+  std::set<std::string_view> unordered_vars;
+  std::set<std::size_t> unordered_bodies;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string_view t = tok(i);
+    const std::string_view prev = tok.prev(i);
+    if (kClockIdents.count(t) != 0) {
+      add(i, "wall-clock", std::string(t));
+    } else if (tok.libc_time_call(i)) {
+      add(i, "wall-clock", std::string(t) + "()");
+    } else if (tok.ambient_rng(i)) {
+      add(i, "ambient-rand", std::string(t));
+    } else if (tok.default_seeded_engine(i)) {
+      add(i, "ambient-rand", std::string("default-seeded ").append(t));
+    } else if (t == "get_id" && tok(i + 1) == "(") {
+      add(i, "thread-id", std::string(t));
+    } else if (t == "uintptr_t" || t == "intptr_t") {
+      add(i, "ptr-cast", std::string(t));
+    } else if (t == "new" && tok(i + 1) != "(" && prev != "operator") {
+      add(i, "naked-new", "new");  // `new (buf) T` is placement: exempt
+    } else if (t == "delete" && prev != "=" && prev != "operator") {
+      add(i, "naked-new", "delete");  // `= delete` declares, not frees
+    } else if (t == "std" && tok(i + 1) == "::" &&
+               (tok(i + 2) == "function" || tok(i + 2) == "bind")) {
+      add(i + 2, "hot-path-callable", std::string("std::").append(tok(i + 2)));
+    } else if (kUnorderedContainers.count(t) != 0) {
+      std::size_t sym = 0;
+      if (bodies.enclosing(i, sym)) unordered_bodies.insert(sym);
+      if (const std::string_view name = tok.declared_name(i); !name.empty())
+        unordered_vars.insert(name);
+    }
+  }
+  if (unordered_vars.empty() && unordered_bodies.empty()) return;
+
+  // Range-for over a declared unordered container, or anywhere in a body
+  // that mentions one: the visit order is hash-seed (and address)
+  // dependent.  A sorted snapshot breaks the pattern, and a false pairing
+  // is silenced with `// specomp: allow(unordered-iter): <why>`.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (tok(i) != "for" || tok(i + 1) != "(") continue;
+    int depth = 0;
+    std::size_t colon = 0, close = i + 1;
+    for (; close < n; ++close) {
+      if (tok(close) == "(") ++depth;
+      else if (tok(close) == ")" && --depth == 0) break;
+      else if (tok(close) == ":" && depth == 1 && colon == 0) colon = close;
+    }
+    if (colon == 0) continue;
+    std::size_t sym = 0;
+    bool hit = bodies.enclosing(i, sym) && unordered_bodies.count(sym) != 0;
+    for (std::size_t k = colon + 1; !hit && k < close; ++k)
+      hit = unordered_vars.count(tok(k)) != 0;
+    if (hit) add(i, "unordered-iter", "for(:)");
+  }
+  // Iterator walks over a declared unordered container (`m.begin()`).
+  for (std::size_t i = 0; i + 3 < n; ++i) {
+    const std::string_view walk = tok(i + 2);
+    if (unordered_vars.count(tok(i)) != 0 &&
+        (tok(i + 1) == "." || tok(i + 1) == "->") &&
+        (walk == "begin" || walk == "cbegin" || walk == "rbegin") &&
+        tok(i + 3) == "(")
+      add(i, "unordered-iter",
+          std::string(tok(i)).append(".").append(walk).append("()"));
   }
 }
 
@@ -453,7 +574,7 @@ struct Analyzer {
     result.classes_indexed = table.classes().size();
     for (const auto& [path, ann] : annotations)
       for (const auto& f : ann.bad) result.findings.push_back(f);
-    taint_pass();
+    seed_pass();
     rollback_pass();
     std::sort(result.findings.begin(), result.findings.end(),
               [](const AnalyzeFinding& x, const AnalyzeFinding& y) {
@@ -470,7 +591,7 @@ struct Analyzer {
         result.findings.end());
   }
 
-  // ---- taint ----
+  // ---- seeds: directory scope and replay scope ----
 
   std::vector<std::string> root_owners() const {
     // Engine, DES kernel, communicators and mailboxes drive speculation,
@@ -486,11 +607,12 @@ struct Analyzer {
     return owners;
   }
 
-  void taint_pass() {
+  void seed_pass() {
     const auto& symbols = table.symbols();
     const std::vector<std::string> owners = root_owners();
     const std::set<std::string> owner_set(owners.begin(), owners.end());
 
+    // BFS from the replay roots; `specomp: pure` symbols are barriers.
     constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
     std::vector<std::size_t> parent(symbols.size(), kNoParent);
     std::vector<bool> reached(symbols.size(), false);
@@ -515,34 +637,46 @@ struct Analyzer {
       }
     }
 
-    // Seed sites inside reached, non-pure symbols become findings with the
-    // root→…→seed call chain.
-    std::vector<Seed> seeds;
-    for (const auto& file : table.files())
-      collect_seeds(file, symbols, ann_for(file.path), seeds);
-    for (const auto& seed : seeds) {
-      if (!reached[seed.symbol]) continue;
-      const Symbol& sym = symbols[seed.symbol];
-      std::vector<std::string> chain;
-      for (std::size_t s = seed.symbol; s != kNoParent; s = parent[s]) {
-        chain.push_back(symbols[s].qualified() + " (" + symbols[s].path +
-                        ":" + std::to_string(symbols[s].line) + ")");
-        if (parent[s] == kNoParent) break;
+    // A seed in a reached function reports its root→…→seed chain; any other
+    // seed fires only inside its rule's directory scope.  One finding per
+    // (path, line, rule): the chained one wins over a scope-only one.
+    std::map<std::tuple<std::string, int, std::string_view>, AnalyzeFinding>
+        by_site;
+    for (const auto& file : table.files()) {
+      const FileAnnotations& ann = ann_for(file.path);
+      std::vector<Seed> seeds;
+      collect_seeds(file, symbols, seeds);
+      for (const Seed& seed : seeds) {
+        if (ann.allowed(seed.line, seed.rule)) continue;
+        const RuleSpec& rule = *find_rule(seed.rule);
+        AnalyzeFinding f;
+        f.rule = std::string(rule.id);
+        f.path = file.path;
+        f.line = seed.line;
+        if (seed.in_body) f.symbol = symbols[seed.symbol].qualified();
+        if (rule.replay && seed.in_body && reached[seed.symbol]) {
+          for (std::size_t s = seed.symbol; s != kNoParent; s = parent[s])
+            f.chain.push_back(symbols[s].qualified() + " (" +
+                              symbols[s].path + ":" +
+                              std::to_string(symbols[s].line) + ")");
+          std::reverse(f.chain.begin(), f.chain.end());
+          const std::string root =
+              f.chain.front().substr(0, f.chain.front().find(" ("));
+          f.detail = "'" + seed.token + "' reachable from replay root " + root;
+        } else if (const std::string_view prefix =
+                       scope_prefix(rule, file.path);
+                   !prefix.empty()) {
+          f.detail = ("'" + seed.token + "' in scope ").append(prefix);
+        } else {
+          continue;
+        }
+        auto [it, fresh] =
+            by_site.try_emplace({f.path, f.line, rule.id}, f);
+        if (!fresh && it->second.chain.empty() && !f.chain.empty())
+          it->second = std::move(f);
       }
-      std::reverse(chain.begin(), chain.end());
-      const std::string root_name =
-          chain.empty() ? sym.qualified()
-                        : chain.front().substr(0, chain.front().find(" ("));
-      AnalyzeFinding f;
-      f.rule = seed.rule;
-      f.path = sym.path;
-      f.line = seed.line;
-      f.symbol = sym.qualified();
-      f.detail = "'" + seed.token + "' reachable from replay root " +
-                 root_name;
-      f.chain = std::move(chain);
-      result.findings.push_back(std::move(f));
     }
+    for (auto& [site, f] : by_site) result.findings.push_back(std::move(f));
   }
 
   // ---- rollback safety ----
@@ -643,7 +777,7 @@ struct Analyzer {
                      " member '" + field + "' mutated by " + methods +
                      " — shared across snapshots, restore_state cannot "
                      "rewind it",
-                 chain, false});
+                 chain});
           continue;
         }
         if (covered.count(field) != 0) continue;
@@ -655,7 +789,7 @@ struct Analyzer {
                  " but never referenced by "
                  "save_state/restore_state/pack_local — state escapes "
                  "rollback",
-             chain, false});
+             chain});
       }
     }
   }
@@ -664,20 +798,16 @@ struct Analyzer {
   // method body.
   void scan_body_escapes(const FileIndex& file, const Symbol& sym) {
     const FileAnnotations& ann = ann_for(file.path);
-    const auto& toks = file.tokens;
-    const auto tok = [&](std::size_t i) {
-      return i < toks.size() ? toks[i].text : std::string_view{};
-    };
+    const Tokens tok{file.tokens};
     auto add = [&](std::string_view rule, int line, std::string detail) {
       if (ann.allowed(line, rule)) return;
       result.findings.push_back({std::string(rule), file.path, line,
-                                 sym.qualified(), std::move(detail),
-                                 {}, false});
+                                 sym.qualified(), std::move(detail), {}});
     };
-    for (std::size_t i = sym.tok_begin; i < sym.tok_end && i < toks.size();
-         ++i) {
-      const std::string_view t = toks[i].text;
-      const int line = toks[i].line;
+    for (std::size_t i = sym.tok_begin;
+         i < sym.tok_end && i < file.tokens.size(); ++i) {
+      const std::string_view t = tok(i);
+      const int line = file.tokens[i].line;
       if (t == "static" && tok(i + 1) != "const" &&
           tok(i + 1) != "constexpr" && tok(i + 2) != "const" &&
           tok(i + 2) != "constexpr") {
@@ -688,10 +818,7 @@ struct Analyzer {
         add("rollback-io", line,
             "file I/O '" + std::string(t) + "' in rollback-scoped method " +
                 sym.qualified() + " — effects are not rolled back");
-      } else if (t == "random_device" ||
-                 (kRandCalls.count(t) != 0 && tok(i + 1) == "(" &&
-                  (i == 0 || (tok(i - 1) != "." && tok(i - 1) != "->" &&
-                              tok(i - 1) != "::")))) {
+      } else if (tok.ambient_rng(i)) {
         add("rollback-rng", line,
             "RNG '" + std::string(t) + "' advanced in rollback-scoped "
             "method " + sym.qualified() + " — stream position escapes the "
@@ -707,9 +834,7 @@ struct Analyzer {
 // Public API
 // ---------------------------------------------------------------------------
 
-const std::vector<std::pair<std::string, std::string>>& analyze_rules() {
-  return kRules;
-}
+const std::vector<RuleSpec>& analyze_rules() { return kRules; }
 
 AnalyzeResult analyze_files(
     const std::vector<std::pair<std::string, std::string>>& files) {
@@ -734,175 +859,29 @@ AnalyzeResult analyze_tree(const std::filesystem::path& root,
   return std::move(a.result);
 }
 
-std::string baseline_key(const AnalyzeFinding& f) {
-  return f.rule + "|" + f.path + "|" + f.symbol + "|" + f.detail;
-}
-
-std::string make_baseline_json(const AnalyzeResult& result) {
-  using specomp::obs::Json;
-  std::vector<const AnalyzeFinding*> sorted;
-  for (const auto& f : result.findings) sorted.push_back(&f);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const AnalyzeFinding* x, const AnalyzeFinding* y) {
-              return baseline_key(*x) < baseline_key(*y);
-            });
-  Json entries = Json::array();
-  std::string last;
-  for (const AnalyzeFinding* f : sorted) {
-    const std::string key = baseline_key(*f);
-    if (key == last) continue;
-    last = key;
-    Json e = Json::object();
-    e.set("rule", f->rule);
-    e.set("path", f->path);
-    e.set("symbol", f->symbol);
-    e.set("detail", f->detail);
-    entries.push_back(std::move(e));
-  }
-  Json doc = Json::object();
-  doc.set("schema_version", 1);
-  doc.set("tool", "specomp-analyze-baseline");
-  doc.set("entries", std::move(entries));
-  return doc.dump(2) + "\n";
-}
-
-std::size_t apply_baseline(AnalyzeResult& result,
-                           std::string_view baseline_json) {
-  using specomp::obs::Json;
-  const Json doc = Json::parse(baseline_json);
-  const Json* version = doc.find("schema_version");
-  if (version == nullptr || version->as_int() != 1)
-    throw std::runtime_error("baseline: unsupported schema_version");
-  std::set<std::string> keys;
-  if (const Json* entries = doc.find("entries")) {
-    for (const auto& e : entries->as_array())
-      keys.insert(e.at("rule").as_string() + "|" + e.at("path").as_string() +
-                  "|" + e.at("symbol").as_string() + "|" +
-                  e.at("detail").as_string());
-  }
-  std::size_t fresh = 0;
-  for (auto& f : result.findings) {
-    f.baselined = keys.count(baseline_key(f)) != 0;
-    if (!f.baselined) ++fresh;
-  }
-  return fresh;
-}
-
 std::string format_finding(const AnalyzeFinding& f) {
   std::string out = f.path + ":" + std::to_string(f.line) + ": [" + f.rule +
                     "] " + (f.symbol.empty() ? "" : f.symbol + ": ") +
                     f.detail;
-  if (f.baselined) out += " [baselined]";
   for (const auto& frame : f.chain) out += "\n    via " + frame;
   return out;
 }
 
 std::string to_text_report(const AnalyzeResult& result) {
   std::ostringstream os;
-  std::size_t fresh = 0, baselined = 0;
-  for (const auto& f : result.findings) (f.baselined ? baselined : fresh)++;
   os << "# specomp-analyze report\n"
-     << "# schema_version: 1\n"
+     << "# schema_version: 2\n"
      << "# files=" << result.files_scanned
      << " symbols=" << result.symbols_indexed
      << " classes=" << result.classes_indexed
      << " roots=" << result.taint_roots
-     << " findings=" << result.findings.size() << " (new=" << fresh
-     << " baselined=" << baselined << ")\n";
+     << " findings=" << result.findings.size() << "\n";
   if (result.findings.empty()) {
     os << "clean: no findings\n";
     return os.str();
   }
   for (const auto& f : result.findings) os << format_finding(f) << "\n";
   return os.str();
-}
-
-std::string to_json_report(const AnalyzeResult& result) {
-  using specomp::obs::Json;
-  std::size_t fresh = 0, baselined = 0;
-  for (const auto& f : result.findings) (f.baselined ? baselined : fresh)++;
-  Json doc = Json::object();
-  doc.set("schema_version", 1);
-  doc.set("tool", "specomp-analyze");
-  doc.set("files_scanned", result.files_scanned);
-  doc.set("symbols", result.symbols_indexed);
-  doc.set("classes", result.classes_indexed);
-  doc.set("taint_roots", result.taint_roots);
-  doc.set("new_findings", fresh);
-  doc.set("baselined_findings", baselined);
-  Json arr = Json::array();
-  for (const auto& f : result.findings) {
-    Json e = Json::object();
-    e.set("rule", f.rule);
-    e.set("path", f.path);
-    e.set("line", f.line);
-    e.set("symbol", f.symbol);
-    e.set("detail", f.detail);
-    e.set("baselined", f.baselined);
-    Json chain = Json::array();
-    for (const auto& frame : f.chain) chain.push_back(frame);
-    e.set("chain", std::move(chain));
-    arr.push_back(std::move(e));
-  }
-  doc.set("findings", std::move(arr));
-  return doc.dump(2) + "\n";
-}
-
-std::string to_sarif_report(const AnalyzeResult& result) {
-  using specomp::obs::Json;
-  Json rules = Json::array();
-  for (const auto& [id, desc] : analyze_rules()) {
-    Json r = Json::object();
-    r.set("id", id);
-    Json text = Json::object();
-    text.set("text", desc);
-    r.set("shortDescription", std::move(text));
-    rules.push_back(std::move(r));
-  }
-  Json driver = Json::object();
-  driver.set("name", "specomp-analyze");
-  driver.set("version", "1.0.0");
-  driver.set("informationUri",
-             "https://github.com/specomp/specomp/blob/main/DESIGN.md");
-  driver.set("rules", std::move(rules));
-  Json tool = Json::object();
-  tool.set("driver", std::move(driver));
-
-  Json results = Json::array();
-  for (const auto& f : result.findings) {
-    Json msg = Json::object();
-    std::string text = f.detail;
-    for (const auto& frame : f.chain) text += "; via " + frame;
-    msg.set("text", std::move(text));
-    Json artifact = Json::object();
-    artifact.set("uri", f.path);
-    Json region = Json::object();
-    region.set("startLine", f.line > 0 ? f.line : 1);
-    Json physical = Json::object();
-    physical.set("artifactLocation", std::move(artifact));
-    physical.set("region", std::move(region));
-    Json location = Json::object();
-    location.set("physicalLocation", std::move(physical));
-    Json locations = Json::array();
-    locations.push_back(std::move(location));
-    Json r = Json::object();
-    r.set("ruleId", f.rule);
-    r.set("level", f.baselined ? "note" : "error");
-    r.set("message", std::move(msg));
-    r.set("locations", std::move(locations));
-    results.push_back(std::move(r));
-  }
-
-  Json run = Json::object();
-  run.set("tool", std::move(tool));
-  run.set("results", std::move(results));
-  Json runs = Json::array();
-  runs.push_back(std::move(run));
-  Json doc = Json::object();
-  doc.set("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
-  doc.set("version", "2.1.0");
-  doc.set("runs", std::move(runs));
-  return doc.dump(2) + "\n";
 }
 
 }  // namespace specana

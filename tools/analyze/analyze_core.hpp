@@ -1,15 +1,21 @@
-// specomp-analyze: whole-program determinism and rollback-safety analysis.
+// specomp-analyze: the repo's one static checker for the determinism and
+// rollback-safety invariants that speculative rollback+replay and every
+// committed figure depend on (DESIGN.md §12).
 //
-// Built on the symbol index (symbols.hpp), two passes guard the invariants
-// that speculative rollback+replay depends on (DESIGN.md §12):
+// Built on the symbol index (symbols.hpp), it runs two passes:
 //
-//  * Nondeterminism taint.  Seed sites — wall clocks, ambient PRNGs, thread
-//    ids, pointer-to-integer casts, unordered-container iteration, raw `new`
-//    in a body — taint their enclosing function; taint propagates along the
-//    name-resolved call graph.  Only functions reachable from the engine /
-//    DES / communicator / app replay roots are reported, each with the full
-//    root→…→seed call chain, because nondeterminism is only fatal where a
-//    replayed step could observe it.
+//  * Seeds.  Each determinism rule has one token matcher — wall clocks and
+//    libc time()/clock() calls, ambient or default-seeded PRNGs, thread ids,
+//    pointer-to-integer casts, unordered-container iteration, naked
+//    new/delete, type-erased callables in hot-path headers.  A seed fires
+//    when either scope holds:
+//      - directory scope: its file lies under one of the rule's path
+//        prefixes (the whole file, inside a body or not);
+//      - replay scope: a replay root (engine / DES / communicator / app
+//        methods) reaches its enclosing function along the name-resolved
+//        call graph; the finding then carries the root→…→seed chain.
+//    One finding is reported per (rule, path, line), the chained one when
+//    both scopes apply.
 //
 //  * Rollback safety.  For every class derived from spec::SyncIterativeApp,
 //    the member fields mutated by the step/install/correct closure are
@@ -18,18 +24,16 @@
 //    or mutable members, static locals, file I/O, ambient RNG advancement —
 //    silently diverges after the first rollback.
 //
-// Both passes over-approximate (name-based calls, token-level mutation
-// detection), so every rule is suppressible with a justified annotation:
+// Both passes over-approximate, so findings are silenced in place with one
+// directive grammar:
 //
-//    // specomp: pure                          — function never taints
+//    // specomp: pure                          — stops taint propagation
 //    // specomp: rollback-covered(field): why  — field is rollback-safe
 //    // specomp: allow(wall-clock): why        — silence one rule on a line
 //
-// plus the pre-existing `// specomp-lint: allow(rule): why` directives for
-// the rule ids shared with specomp-lint.  Malformed directives are findings
-// themselves (rule `bad-annotation`).  A committed baseline
-// (tools/analyze/baseline.json) keys findings on (rule, path, symbol,
-// detail) — no line numbers — so CI fails only on *new* findings.
+// `pure` only cuts the call graph; a seed inside a rule's directory scope
+// still fires.  Malformed directives are findings themselves (rule
+// `bad-annotation`).  The gate is plain: any finding fails.
 #pragma once
 
 #include <cstddef>
@@ -43,26 +47,40 @@
 
 namespace specana {
 
-/// One analyzer finding.  `symbol` is the qualified function for taint
-/// findings and `Class::field` for rollback findings; `detail` is stable
-/// across unrelated edits (no line numbers) so the baseline key
-/// (rule, path, symbol, detail) survives file churn.
+/// One finding.  `symbol` is the qualified function for seed findings ("" for
+/// a seed outside any body) and `Class::field` for rollback findings.
 struct AnalyzeFinding {
   std::string rule;
   std::string path;
   int line = 0;
   std::string symbol;
   std::string detail;
-  /// Supporting frames, root first: "Qualified (path:line)".  Taint findings
-  /// carry the root→seed call chain; rollback findings the mutation sites.
+  /// Supporting frames, root first: "Qualified (path:line)".  Replay-scope
+  /// seeds carry the root→seed call chain; rollback findings the mutation
+  /// sites; directory-scope seeds none.
   std::vector<std::string> chain;
-  /// Set by apply_baseline for findings already present in the baseline.
-  bool baselined = false;
 };
 
-/// Rule vocabulary: id -> one-line description (drives allow() validation,
-/// the SARIF rule table and the docs).
-const std::vector<std::pair<std::string, std::string>>& analyze_rules();
+/// One rule of the table.  Determinism rules list the path prefixes
+/// (relative, '/'-separated) where a seed fires whether or not a replay
+/// root reaches it, and whether replay reachability fires it too.
+struct RuleSpec {
+  std::string_view id;
+  std::string_view summary;
+  std::vector<std::string_view> scope;
+  std::vector<std::string_view> exclude;  // carved out of `scope`
+  bool headers_only = false;              // scope covers .hpp/.h/.hh only
+  bool replay = false;                    // fires when a replay root reaches it
+};
+
+/// The rule table, in reporting order (drives allow() validation,
+/// --list-rules and the docs).
+const std::vector<RuleSpec>& analyze_rules();
+
+/// The trees walked by default: by the CLI without subdir arguments, by the
+/// `analyze` target and by the whole-tree test.
+inline const std::vector<std::string> kDefaultSubdirs = {
+    "src", "bench", "tests", "tools", "examples"};
 
 struct AnalyzeResult {
   std::vector<AnalyzeFinding> findings;  // sorted (path, line, rule, symbol)
@@ -73,27 +91,17 @@ struct AnalyzeResult {
 };
 
 /// Analyses in-memory files [(logical_path, content)] — the test entry
-/// point.  Files are indexed in the given order.
+/// point.  Files are indexed in the given order; the logical path picks the
+/// directory scopes.
 AnalyzeResult analyze_files(
     const std::vector<std::pair<std::string, std::string>>& files);
 
-/// Analyses `root`/<subdir> trees on disk (same file discovery as
-/// specomp-lint: build*/fixtures dirs skipped, sorted paths).
+/// Analyses the `root`/<subdir> trees on disk (build*/ and fixtures/
+/// directories skipped, sorted paths).  Throws std::invalid_argument naming
+/// the path when `root` or a subdir is not a directory, so a mistyped walk
+/// can never pass as a clean one.
 AnalyzeResult analyze_tree(const std::filesystem::path& root,
                            const std::vector<std::string>& subdirs);
-
-/// The baseline identity of a finding: "rule|path|symbol|detail".
-std::string baseline_key(const AnalyzeFinding& f);
-
-/// Serialises the current findings as a baseline document (schema_version 1,
-/// sorted unique keys).
-std::string make_baseline_json(const AnalyzeResult& result);
-
-/// Marks findings whose key appears in `baseline_json` as baselined.
-/// Returns the number of findings NOT in the baseline (the CI gate).
-/// Throws std::runtime_error on malformed baseline documents.
-std::size_t apply_baseline(AnalyzeResult& result,
-                           std::string_view baseline_json);
 
 /// "path:line: [rule] symbol: detail" plus indented chain frames.
 std::string format_finding(const AnalyzeFinding& f);
@@ -101,12 +109,5 @@ std::string format_finding(const AnalyzeFinding& f);
 /// Human-readable report with a `schema_version` header; byte-deterministic
 /// for a given tree.
 std::string to_text_report(const AnalyzeResult& result);
-
-/// Machine-readable report (schema_version 1).
-std::string to_json_report(const AnalyzeResult& result);
-
-/// SARIF 2.1.0 (one run, full rule table; baselined findings demoted to
-/// "note" so code-scanning UIs surface only new ones as errors).
-std::string to_sarif_report(const AnalyzeResult& result);
 
 }  // namespace specana

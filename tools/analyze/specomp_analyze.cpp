@@ -1,17 +1,17 @@
-// specomp-analyze CLI — whole-program nondeterminism-taint and
-// rollback-safety analysis (see analyze_core.hpp).
+// specomp-analyze CLI — the repo's static checker: determinism seeds in
+// their directory scopes and on replay paths, plus rollback safety (see
+// analyze_core.hpp).
 //
-//   $ specomp-analyze --root . src tools examples            # what CI runs
-//   $ specomp-analyze --root . --baseline tools/analyze/baseline.json
-//         --out analyze-report.txt --json analyze-report.json
-//         --sarif analyze-report.sarif src tools examples    # (one line)
-//   $ specomp-analyze --root . --write-baseline tools/analyze/baseline.json
+//   $ specomp-analyze --root .        # walks src bench tests tools examples
+//   $ specomp-analyze --root . --out analyze-report.txt src/spec
 //   $ specomp-analyze --list-rules
 //
-// Exit status: 0 clean (every finding baselined), 1 new findings,
-// 2 usage/IO error.  All reports are written atomically (stage + rename) so
-// a crashed run never leaves a truncated artifact for CI to upload.
+// Exit status: 0 clean, 1 findings, 2 usage/IO error (a missing root or
+// subdir included, so a mistyped walk never passes as a clean one).  The
+// report is written atomically (stage + rename) so a crashed run never
+// leaves a truncated artifact for CI to upload.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,28 +22,30 @@ namespace {
 
 void print_rules() {
   std::printf("specomp-analyze rules:\n");
-  for (const auto& [id, desc] : specana::analyze_rules())
-    std::printf("  %-24s %s\n", id.c_str(), desc.c_str());
+  for (const auto& rule : specana::analyze_rules()) {
+    std::printf("  %-24s %s\n", std::string(rule.id).c_str(),
+                std::string(rule.summary).c_str());
+    if (!rule.scope.empty()) {
+      std::printf("  %-24s   scope:", "");
+      for (const auto& p : rule.scope)
+        std::printf(" %s", std::string(p).c_str());
+      for (const auto& p : rule.exclude)
+        std::printf(" -%s", std::string(p).c_str());
+      if (rule.headers_only) std::printf(" (headers only)");
+      std::printf("\n");
+    }
+  }
   std::printf(
       "\nsuppress with: // specomp: allow(<rule>): <justification>\n"
       "               // specomp: pure\n"
       "               // specomp: rollback-covered(<field>): <why>\n");
 }
 
-bool write_report(const std::string& path, const std::string& content) {
-  if (!specomp::obs::atomic_write_file(path, content)) {
-    std::fprintf(stderr, "specomp-analyze: cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string out_path, json_path, sarif_path;
-  std::string baseline_path, write_baseline_path;
+  std::string out_path;
   std::vector<std::string> subdirs;
   auto flag_value = [&](const std::string& arg, const char* name,
                         std::string& dst, int& i) {
@@ -66,54 +68,31 @@ int main(int argc, char** argv) {
     }
     if (flag_value(arg, "--root", root, i)) continue;
     if (flag_value(arg, "--out", out_path, i)) continue;
-    if (flag_value(arg, "--json", json_path, i)) continue;
-    if (flag_value(arg, "--sarif", sarif_path, i)) continue;
-    if (flag_value(arg, "--baseline", baseline_path, i)) continue;
-    if (flag_value(arg, "--write-baseline", write_baseline_path, i)) continue;
     if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "usage: specomp-analyze [--root DIR] [--out FILE] "
-                   "[--json FILE] [--sarif FILE] [--baseline FILE] "
-                   "[--write-baseline FILE] [--list-rules] [subdir...]\n");
+                   "[--list-rules] [subdir...]\n");
       return 2;
     }
     subdirs.push_back(arg);
   }
-  if (subdirs.empty()) subdirs = {"src", "tools", "examples"};
+  if (subdirs.empty()) subdirs = specana::kDefaultSubdirs;
 
-  specana::AnalyzeResult result = specana::analyze_tree(root, subdirs);
-
-  if (!write_baseline_path.empty())
-    return write_report(write_baseline_path,
-                        specana::make_baseline_json(result))
-               ? 0
-               : 2;
-
-  std::size_t fresh = result.findings.size();
-  if (!baseline_path.empty()) {
-    const std::string content = specscan::read_file(baseline_path);
-    if (content.empty()) {
-      std::fprintf(stderr, "specomp-analyze: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    try {
-      fresh = specana::apply_baseline(result, content);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "specomp-analyze: bad baseline %s: %s\n",
-                   baseline_path.c_str(), e.what());
-      return 2;
-    }
+  specana::AnalyzeResult result;
+  try {
+    result = specana::analyze_tree(root, subdirs);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "specomp-analyze: %s\n", e.what());
+    return 2;
   }
 
   const std::string report = specana::to_text_report(result);
-  std::fputs(report.c_str(), fresh == 0 ? stdout : stderr);
-  bool io_ok = true;
-  if (!out_path.empty()) io_ok &= write_report(out_path, report);
-  if (!json_path.empty())
-    io_ok &= write_report(json_path, specana::to_json_report(result));
-  if (!sarif_path.empty())
-    io_ok &= write_report(sarif_path, specana::to_sarif_report(result));
-  if (!io_ok) return 2;
-  return fresh == 0 ? 0 : 1;
+  std::fputs(report.c_str(), result.findings.empty() ? stdout : stderr);
+  if (!out_path.empty() &&
+      !specomp::obs::atomic_write_file(out_path, report)) {
+    std::fprintf(stderr, "specomp-analyze: cannot write %s\n",
+                 out_path.c_str());
+    return 2;
+  }
+  return result.findings.empty() ? 0 : 1;
 }
