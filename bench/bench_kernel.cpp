@@ -1,5 +1,5 @@
-// Force-kernel throughput snapshot: scalar vs tiled vs tiled-mt vs the
-// explicit simd tiers, plus a kernel x integrator sweep.
+// Force-kernel throughput snapshot: scalar vs tiled vs tiled-mt, plus a
+// kernel x integrator sweep.
 //
 //   $ ./bench/bench_kernel --reps 5 --report-out BENCH_kernel.json
 //   $ ./bench/bench_kernel --quick --report-out BENCH_kernel.ci.json
@@ -8,10 +8,8 @@
 // all_accelerations shape) runs `reps` times per kernel; the best wall time
 // per kernel yields Mpairs/s and speedup over the scalar reference.  Every
 // non-scalar result is also checked against the scalar oracle; a max-abs
-// deviation above the kernel's budget (1e-10 for the autovectorised tiers,
-// 1e-12 for the explicit simd tiers — their pinned contract, DESIGN.md §11)
-// fails the run (exit 1), which is what the CI perf smoke step relies on.
-// simd tiers the host cannot execute are skipped, never silently remapped.
+// deviation above 1e-10 fails the run (exit 1), which is what the CI perf
+// smoke step relies on.
 //
 // The integrator sweep runs a one-rank NBodyApp (the real engine step path)
 // for each kernel x integrator pair and reports wall time per step plus the
@@ -29,10 +27,10 @@
 #include "nbody/app.hpp"
 #include "nbody/init.hpp"
 #include "nbody/kernels/dispatch.hpp"
-#include "nbody/kernels/simd.hpp"
 #include "nbody/types.hpp"
 #include "obs/artifacts.hpp"
 #include "support/cli.hpp"
+#include "support/cpu_features.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -77,19 +75,8 @@ KernelSample run_kernel(ForceKernel kind, std::span<const Vec3> pos,
   return sample;
 }
 
-/// The explicit simd tiers have a tighter pinned budget than the
-/// autovectorised ones (DESIGN.md §11).
-double deviation_budget(ForceKernel kind) {
-  return (kind == ForceKernel::SimdAvx2 || kind == ForceKernel::SimdAvx512)
-             ? 1e-12
-             : 1e-10;
-}
-
-/// A forced kernel is measurable only when resolution keeps it (simd tiers
-/// on unsupported hosts resolve to a fallback — skip those rows).
-bool kernel_runs_as_itself(ForceKernel kind, std::size_t n) {
-  return nbody::kernels::resolve_force_kernel(kind, n, n) == kind;
-}
+/// Max-abs deviation from the scalar oracle a kernel may show.
+constexpr double kDeviationBudget = 1e-10;
 
 }  // namespace
 
@@ -105,19 +92,16 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sizes = {256, 1000, 4096};
   if (quick) sizes = {256, 1000};
   const ForceKernel kernels[] = {ForceKernel::Scalar, ForceKernel::Tiled,
-                                 ForceKernel::TiledMT, ForceKernel::SimdAvx2,
-                                 ForceKernel::SimdAvx512};
+                                 ForceKernel::TiledMT};
 
   support::Table table({"kernel", "n", "best_ms", "mpairs_per_s", "speedup",
                         "max_abs_dev"});
   bool deviation_ok = true;
 
-  std::printf(
-      "force-kernel throughput (reps=%ld, pool workers=%u, cpu simd: %s)\n",
-      reps, support::ThreadPool::shared().worker_count(),
-      std::string(nbody::kernels::simd_tier_name(
-                      nbody::kernels::widest_simd_tier()))
-          .c_str());
+  const std::string cpu =
+      support::cpu::describe(support::cpu::features());
+  std::printf("force-kernel throughput (reps=%ld, pool workers=%u, cpu: %s)\n",
+              reps, support::ThreadPool::shared().worker_count(), cpu.c_str());
   for (const std::size_t n : sizes) {
     const auto particles = nbody::init_plummer(n, 1);
     std::vector<Vec3> pos(n);
@@ -135,12 +119,6 @@ int main(int argc, char** argv) {
     double scalar_seconds = 0.0;
     const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
     for (const ForceKernel kind : kernels) {
-      if (!kernel_runs_as_itself(kind, n)) {
-        std::printf("  %-11s n=%-5zu (skipped: tier not usable on this host)\n",
-                    std::string(nbody::kernels::force_kernel_name(kind)).c_str(),
-                    n);
-        continue;
-      }
       const KernelSample sample =
           run_kernel(kind, pos, mass, softening2, reps, oracle);
       if (kind == ForceKernel::Scalar) scalar_seconds = sample.best_seconds;
@@ -162,13 +140,12 @@ int main(int argc, char** argv) {
                           obs::Json(speedup));
       artifacts.add_entry("max_abs_dev_" + name + "_n" + std::to_string(n),
                           obs::Json(sample.max_abs_dev));
-      if (sample.max_abs_dev > deviation_budget(kind)) {
+      if (sample.max_abs_dev > kDeviationBudget) {
         deviation_ok = false;
         std::fprintf(stderr,
                      "error: %s kernel deviates %.3e from scalar at n=%zu "
                      "(budget %.0e)\n",
-                     name.c_str(), sample.max_abs_dev, n,
-                     deviation_budget(kind));
+                     name.c_str(), sample.max_abs_dev, n, kDeviationBudget);
       }
     }
   }
@@ -186,10 +163,7 @@ int main(int argc, char** argv) {
   const auto sweep_particles = nbody::init_plummer(sweep_n, 1);
   const nbody::Partition whole =
       nbody::Partition::from_counts({sweep_n});
-  for (const ForceKernel kind :
-       {ForceKernel::Tiled, ForceKernel::TiledMT, ForceKernel::SimdAvx2,
-        ForceKernel::SimdAvx512}) {
-    if (!kernel_runs_as_itself(kind, sweep_n)) continue;
+  for (const ForceKernel kind : {ForceKernel::Tiled, ForceKernel::TiledMT}) {
     const std::string kname(nbody::kernels::force_kernel_name(kind));
     nbody::kernels::set_default_force_kernel(kind);
     for (const char* integ : integrators) {
@@ -225,9 +199,7 @@ int main(int argc, char** argv) {
   artifacts.add_table("kernel_integrator_sweep", sweep);
   artifacts.add_entry("reps", obs::Json(static_cast<std::size_t>(reps)));
   artifacts.add_entry("quick", obs::Json(quick));
-  artifacts.add_entry("cpu_simd_tier",
-                      obs::Json(std::string(nbody::kernels::simd_tier_name(
-                          nbody::kernels::widest_simd_tier()))));
+  artifacts.add_entry("cpu_features", obs::Json(cpu));
   artifacts.add_entry("pool_workers",
                       obs::Json(static_cast<std::size_t>(
                           support::ThreadPool::shared().worker_count())));

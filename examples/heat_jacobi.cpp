@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   const long iterations = cli.get_int("iterations", 50);
 
   // Controllers (applied to the speculative FW > 0 rows of both apps),
-  // fault plan, collectives and the HB detector.  The modelled LAN delivers
-  // in ~80-100 ms; a 1 s ARQ timeout makes a retransmitted halo clearly late
+  // fault plan and the HB detector.  The modelled LAN delivers in
+  // ~80-100 ms; a 1 s ARQ timeout makes a retransmitted halo clearly late
   // without freezing the pipeline.
   spec::EngineOptions engine;
   runtime::SimConfig network = latency_bound_network(p);

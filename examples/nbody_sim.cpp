@@ -16,7 +16,6 @@
 #include "nbody/kernels/dispatch.hpp"
 #include "nbody/scenario.hpp"
 #include "obs/artifacts.hpp"
-#include "runtime/collective_algo.hpp"
 #include "runtime/fault.hpp"
 #include "spec/driver.hpp"
 #include "support/cli.hpp"
@@ -37,7 +36,7 @@ int main(int argc, char** argv) try {
   s.forward_window = static_cast<int>(cli.get_int("fw", 1));
   s.theta = cli.get_double("theta", 0.01);
   s.speculator = cli.get("speculator", "kinematic");
-  // Controllers, fault plan, collectives and the HB detector.  Healthy
+  // Controllers, fault plan and the HB detector.  Healthy
   // round trips on the calibrated testbed are ~6 s; the 4 s ARQ timeout
   // makes a retransmitted block late, not geologically late.
   if (const std::string error = spec::bind_engine_cli(cli, s, s.sim, 4.0);
@@ -183,11 +182,6 @@ int main(int argc, char** argv) try {
                    obs::Json(std::string(kernels::force_kernel_name(
                        kernels::default_force_kernel()))));
   report.extra.set("integrator", obs::Json(s.body.integrator));
-  report.extra.set("collective",
-                   obs::Json(std::string(runtime::collective_algo_name(
-                       runtime::resolve_collective_algo(
-                           s.sim.collective,
-                           static_cast<int>(s.sim.cluster.size()))))));
   report.extra.set("window_policy",
                    obs::Json(s.window_policy.empty() ? std::string("static")
                                                      : s.window_policy));

@@ -5,9 +5,7 @@
 
 #include "nbody/kernels/bh_tree.hpp"
 #include "nbody/kernels/kernel.hpp"
-#include "nbody/kernels/simd.hpp"
 #include "support/contracts.hpp"
-#include "support/thread_pool.hpp"
 
 namespace specomp::nbody::kernels {
 
@@ -29,16 +27,6 @@ SoaScratch& scratch() {
   return s;
 }
 
-/// The widest usable simd tier as a ForceKernel, or Tiled when none is.
-ForceKernel best_single_thread_exact() {
-  switch (widest_simd_tier()) {
-    case SimdTier::Avx512: return ForceKernel::SimdAvx512;
-    case SimdTier::Avx2: return ForceKernel::SimdAvx2;
-    case SimdTier::None: break;
-  }
-  return ForceKernel::Tiled;
-}
-
 }  // namespace
 
 std::optional<ForceKernel> parse_force_kernel(std::string_view name) noexcept {
@@ -46,8 +34,6 @@ std::optional<ForceKernel> parse_force_kernel(std::string_view name) noexcept {
   if (name == "scalar") return ForceKernel::Scalar;
   if (name == "tiled") return ForceKernel::Tiled;
   if (name == "tiled-mt") return ForceKernel::TiledMT;
-  if (name == "simd-avx2") return ForceKernel::SimdAvx2;
-  if (name == "simd-avx512") return ForceKernel::SimdAvx512;
   if (name == "tree") return ForceKernel::Tree;
   return std::nullopt;
 }
@@ -58,15 +44,13 @@ std::string_view force_kernel_name(ForceKernel kind) noexcept {
     case ForceKernel::Scalar: return "scalar";
     case ForceKernel::Tiled: return "tiled";
     case ForceKernel::TiledMT: return "tiled-mt";
-    case ForceKernel::SimdAvx2: return "simd-avx2";
-    case ForceKernel::SimdAvx512: return "simd-avx512";
     case ForceKernel::Tree: return "tree";
   }
   return "auto";
 }
 
 std::string_view force_kernel_names() noexcept {
-  return "auto|scalar|tiled|tiled-mt|simd-avx2|simd-avx512|tree";
+  return "auto|scalar|tiled|tiled-mt|tree";
 }
 
 std::optional<ForceKernel> parse_force_kernel_cli(std::string_view name,
@@ -101,32 +85,13 @@ ForceKernel default_force_kernel() noexcept {
 }
 
 ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
-                                 std::size_t sources, unsigned pool_workers) {
+                                 std::size_t sources) {
   if (kind == ForceKernel::Auto) kind = default_force_kernel();
-  if (kind != ForceKernel::Auto) {
-    // Forced simd tiers on hardware (or builds) that cannot run them fall
-    // back to the widest usable tier, then tiled — never an illegal
-    // instruction, and still deterministic per process.
-    if (kind == ForceKernel::SimdAvx512 &&
-        !simd_tier_usable(SimdTier::Avx512)) {
-      kind = simd_tier_usable(SimdTier::Avx2) ? ForceKernel::SimdAvx2
-                                              : ForceKernel::Tiled;
-    }
-    if (kind == ForceKernel::SimdAvx2 && !simd_tier_usable(SimdTier::Avx2))
-      kind = ForceKernel::Tiled;
-    return kind;
-  }
+  if (kind != ForceKernel::Auto) return kind;
   if (targets * sources < kScalarPairCutoff) return ForceKernel::Scalar;
   if (sources >= kTreeSourceCutoff) return ForceKernel::Tree;
-  if (targets >= kMinTargetsForMT && pool_workers > 0)
-    return ForceKernel::TiledMT;
-  return best_single_thread_exact();
-}
-
-ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
-                                 std::size_t sources) {
-  return resolve_force_kernel(kind, targets, sources,
-                              support::ThreadPool::shared().worker_count());
+  if (targets >= kMinTargetsForMT) return ForceKernel::TiledMT;
+  return ForceKernel::Tiled;
 }
 
 void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
@@ -178,24 +143,12 @@ void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
 
   const SoaView targets{s.tx.data(), s.ty.data(), s.tz.data(), nullptr, nt};
   const SoaView sources{s.sx.data(), s.sy.data(), s.sz.data(), s.sm.data(), ns};
-  switch (kind) {
-    case ForceKernel::TiledMT:
-      tiled_mt_accumulate(targets, sources, softening2, skip_offset,
-                          s.ax.data(), s.ay.data(), s.az.data());
-      break;
-    case ForceKernel::SimdAvx2:
-      simd_accumulate(SimdTier::Avx2, targets, sources, softening2,
-                      skip_offset, s.ax.data(), s.ay.data(), s.az.data());
-      break;
-    case ForceKernel::SimdAvx512:
-      simd_accumulate(SimdTier::Avx512, targets, sources, softening2,
-                      skip_offset, s.ax.data(), s.ay.data(), s.az.data());
-      break;
-    default:
-      tiled_accumulate(targets, sources, softening2, skip_offset, s.ax.data(),
-                       s.ay.data(), s.az.data());
-      break;
-  }
+  if (kind == ForceKernel::TiledMT)
+    tiled_mt_accumulate(targets, sources, softening2, skip_offset, s.ax.data(),
+                        s.ay.data(), s.az.data());
+  else
+    tiled_accumulate(targets, sources, softening2, skip_offset, s.ax.data(),
+                     s.ay.data(), s.az.data());
 
   for (std::size_t i = 0; i < nt; ++i) {
     acc[i].x += s.ax[i];

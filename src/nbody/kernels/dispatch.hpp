@@ -2,24 +2,20 @@
 //
 // Call sites (forces.cpp, NBodyApp, the Fig. 7 baseline) pass Auto and get
 // the process default, settable from the command line via --kernel=
-// scalar|tiled|tiled-mt|simd-avx2|simd-avx512|tree (drivers call
-// set_default_force_kernel).  When the default itself is Auto, a per-call
-// heuristic picks:
+// scalar|tiled|tiled-mt|tree (drivers call set_default_force_kernel).  When
+// the default itself is Auto, the block sizes alone pick:
 //   * scalar for tiny blocks (SoA conversion would dominate),
 //   * tree (Barnes-Hut, kernels/bh_tree.hpp) once the source block is large
 //     enough that O(N^2) stops being viable — note this tier is
 //     *approximate* (bounded by the θ error model; see bh_tree.hpp), the
 //     price of reaching N in 10^5..10^6,
-//   * tiled-mt for large target counts when the shared pool has workers,
-//   * otherwise the widest *usable* explicit-SIMD tier (simd.hpp: compiled
-//     in AND supported by this CPU per support::cpu::features()), falling
-//     back to tiled when none is.
-// The heuristic depends only on block sizes, pool configuration and the
-// (fixed per process) CPU feature set — never on data or timing — so kernel
-// selection is deterministic for a given process configuration.  Forcing
-// a simd tier the host cannot execute falls back to the widest usable one,
-// then tiled; Auto therefore never selects an unsupported tier.  Runs that
-// need exact forces at any size pin --kernel=tiled (or tiled-mt).
+//   * tiled-mt for enough target chunks to shard,
+//   * tiled otherwise.
+// Neither the CPU nor the thread pool's size enters the choice, and tiled-mt
+// is bit-identical to tiled at any pool size (a pool without workers runs
+// its chunks inline), so the same block sizes give the same bits on every
+// host (DESIGN.md §11.1).  Runs that need exact forces at any size pin
+// --kernel=tiled (or tiled-mt).
 #pragma once
 
 #include <optional>
@@ -36,8 +32,6 @@ enum class ForceKernel {
   Scalar,
   Tiled,
   TiledMT,
-  SimdAvx2,
-  SimdAvx512,
   Tree,
 };
 
@@ -45,7 +39,8 @@ enum class ForceKernel {
 /// the escalation thresholds exactly).
 /// Below this many pair interactions the AoS->SoA staging is not worth it.
 inline constexpr std::size_t kScalarPairCutoff = 4096;
-/// tiled-mt needs enough target chunks to shard meaningfully.
+/// tiled-mt needs enough target chunks to shard meaningfully: below this
+/// the pool handoff costs more than the extra lanes save.
 inline constexpr std::size_t kMinTargetsForMT = 32;
 /// Auto escalates to Barnes-Hut at this many sources: far above every
 /// exact-path test and bench (so pre-existing runs keep bit-identical
@@ -54,8 +49,7 @@ inline constexpr std::size_t kMinTargetsForMT = 32;
 /// call and even a thin target slice amortises it at this N.
 inline constexpr std::size_t kTreeSourceCutoff = 32768;
 
-/// "auto" | "scalar" | "tiled" | "tiled-mt" | "simd-avx2" | "simd-avx512" |
-/// "tree" (nullopt otherwise).
+/// "auto" | "scalar" | "tiled" | "tiled-mt" | "tree" (nullopt otherwise).
 std::optional<ForceKernel> parse_force_kernel(std::string_view name) noexcept;
 std::string_view force_kernel_name(ForceKernel kind) noexcept;
 
@@ -84,16 +78,9 @@ void set_default_force_kernel(ForceKernel kind) noexcept;
 ForceKernel default_force_kernel() noexcept;
 
 /// Resolves Auto (via the default, then the size heuristic) to a concrete
-/// kernel for a (targets x sources) problem, and any forced-but-unusable
-/// simd tier to the widest usable fallback.
+/// kernel for a (targets x sources) problem; forced kinds pass through.
 ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
                                  std::size_t sources);
-
-/// Same, with the worker count the tiled-mt heuristic consults made
-/// explicit (the 3-argument overload passes the shared pool's count); lets
-/// tests pin the Auto boundaries on any host.
-ForceKernel resolve_force_kernel(ForceKernel kind, std::size_t targets,
-                                 std::size_t sources, unsigned pool_workers);
 
 /// Same contract as nbody::accumulate_accelerations, executed by the
 /// resolved kernel.  AoS<->SoA staging uses thread-local scratch, so

@@ -24,13 +24,11 @@
 // diagnostic: the implicated sends with their vector clocks, and the
 // receiver's clock at the moment of the violation.
 //
-// Cost model: the detector is opt-in twice over.  The communicator hooks are
-// compiled only under -DSPECOMP_HB_CHECK=ON (macro SPECOMP_HB_CHECK_ENABLED),
-// so default builds carry zero extra code on the send/recv path — verified
-// by bench_micro's BM_SimSendRecv against BENCH_sweep.json.  Within such a
-// build it still needs `--hb-check` (SimConfig/ThreadConfig::hb_check) at
-// run time.  This class itself is always compiled so its unit tests run in
-// every configuration.
+// Cost model: the detector runs only when `--hb-check`
+// (SimConfig/ThreadConfig::hb_check) creates it.  Every build compiles the
+// communicator hooks; with the detector off each hook is one null-pointer
+// test, the same discipline as the fault plan, the trace and the
+// distribution sketches.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "runtime/sim_comm.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -35,9 +34,7 @@ class SimWorld {
       comms_.push_back(std::make_unique<SimCommunicator>(*this, r));
     finish_times_.resize(static_cast<std::size_t>(num_ranks_),
                          des::SimTime::zero());
-#if SPECOMP_HB_CHECK_ENABLED
     if (config_.hb_check) hb_ = std::make_unique<HbChecker>(num_ranks_);
-#endif
     if (config_.record_dists) {
       const auto p = static_cast<std::size_t>(num_ranks_);
       link_delay_.resize(p * p);
@@ -88,9 +85,7 @@ class SimWorld {
       if (!rank_error_) throw;
     }
     if (rank_error_) std::rethrow_exception(rank_error_);
-#if SPECOMP_HB_CHECK_ENABLED
     if (hb_ != nullptr) result.hb_events_checked = hb_->events_checked();
-#endif
     for (const auto t : finish_times_)
       result.makespan_seconds =
           std::max(result.makespan_seconds, t.to_seconds());
@@ -199,11 +194,9 @@ class SimWorld {
     if (++barrier_count_ == num_ranks_) {
       barrier_count_ = 0;
       ++barrier_generation_;
-#if SPECOMP_HB_CHECK_ENABLED
       // The barrier synchronises every rank: join all vector clocks before
       // anyone proceeds.
       if (hb_ != nullptr) hb_->on_barrier();
-#endif
       for (auto& other : comms_)
         if (other.get() != &comm) other->process_->wake();
       return;
@@ -211,9 +204,7 @@ class SimWorld {
     while (barrier_generation_ == my_generation) comm.process_->suspend();
   }
 
-#if SPECOMP_HB_CHECK_ENABLED
   HbChecker* hb() noexcept { return hb_.get(); }
-#endif
 
  private:
   SimConfig config_;
@@ -232,9 +223,7 @@ class SimWorld {
   std::vector<obs::DistSketch> service_;        // per rank
   int barrier_count_ = 0;
   std::uint64_t barrier_generation_ = 0;
-#if SPECOMP_HB_CHECK_ENABLED
   std::unique_ptr<HbChecker> hb_;
-#endif
 };
 
 SimCommunicator::SimCommunicator(SimWorld& world, net::Rank rank)
@@ -382,11 +371,9 @@ void SimCommunicator::send(net::Rank dst, int tag,
   }
   msg.delivered_at = delivered;
 
-#if SPECOMP_HB_CHECK_ENABLED
   // Recorded before the delivery event is scheduled, so the receive-side
   // check can never observe a send that does not exist yet.
   if (HbChecker* hb = world_.hb()) hb->on_send(rank_, dst, tag, msg.seq);
-#endif
 
   if (outcome.duplicated) {
     // The network manufactures a second copy arriving shortly after the
@@ -458,26 +445,22 @@ bool SimCommunicator::try_recv(net::Rank src, int tag, net::Message& out) {
   // number, so iteration streams are consumed in send order even if jitter
   // reordered deliveries.
   if (!mailbox_.take(src, tag, out)) return false;
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb()) {
     hb->on_receive_sim(rank_, out.src, out.tag, out.seq,
                        out.sent_at.to_seconds(), out.delivered_at.to_seconds(),
                        process_->now().to_seconds());
   }
-#endif
   note_recv_causal(out);
   return true;
 }
 
 void SimCommunicator::note_received(const net::Message& msg,
                                     des::SimTime wait_begin) {
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb()) {
     hb->on_receive_sim(rank_, msg.src, msg.tag, msg.seq,
                        msg.sent_at.to_seconds(), msg.delivered_at.to_seconds(),
                        process_->now().to_seconds());
   }
-#endif
   const des::SimTime waited = process_->now() - wait_begin;
   timer_.add(Phase::Communicate, waited);
   note_recv_causal(msg);
@@ -628,13 +611,6 @@ DistSnapshot SimCommunicator::dist_snapshot() const {
 }  // namespace detail
 
 SimResult run_simulated(const SimConfig& config, const RankBody& body) {
-#if !SPECOMP_HB_CHECK_ENABLED
-  if (config.hb_check) {
-    std::fprintf(stderr,
-                 "specomp: hb_check requested but this build compiled the "
-                 "detector out — reconfigure with -DSPECOMP_HB_CHECK=ON\n");
-  }
-#endif
   detail::SimWorld world(config);
   return world.run(body);
 }

@@ -44,9 +44,7 @@ struct SimConfig {
   /// sketches; the sample paths pay one pointer test when off).
   bool record_dists = false;
   /// Run the vector-clock happens-before detector on every send/recv/barrier
-  /// (see runtime/hb_check.hpp).  Only honoured when the build enables
-  /// -DSPECOMP_HB_CHECK=ON; otherwise the hooks are compiled out and this
-  /// flag warns and is ignored.
+  /// (see runtime/hb_check.hpp).  Off, each hook pays one null-pointer test.
   bool hb_check = false;
   /// Optional fault-injection plan consulted on every send/deliver/compute
   /// (see runtime/fault.hpp).  nullptr = fault-free; the hot paths then pay
@@ -71,7 +69,7 @@ struct SimResult {
   /// Fault-injection bookkeeping; all zeros when SimConfig::fault is unset.
   FaultStats fault_stats;
   /// Send/receive/barrier events the happens-before detector checked; 0
-  /// unless SimConfig::hb_check is on in a -DSPECOMP_HB_CHECK=ON build.
+  /// unless SimConfig::hb_check is on.
   std::uint64_t hb_events_checked = 0;
   /// Observed distributions ("link_delay.S->D", "service.rankR"); empty
   /// unless SimConfig::record_dists.  Links with no traffic are omitted.

@@ -1,7 +1,6 @@
 #include "runtime/thread_comm.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -81,14 +80,10 @@ class ThreadWorld {
     mailboxes_.reserve(config.cluster.size());
     for (int r = 0; r < num_ranks_; ++r)
       mailboxes_.push_back(std::make_unique<TimedMailbox>(num_ranks_, order));
-#if SPECOMP_HB_CHECK_ENABLED
     if (config_.hb_check) hb_ = std::make_unique<HbChecker>(num_ranks_);
-#endif
   }
 
-#if SPECOMP_HB_CHECK_ENABLED
   HbChecker* hb() noexcept { return hb_.get(); }
-#endif
 
   const ThreadConfig& config() const noexcept { return config_; }
   int num_ranks() const noexcept { return num_ranks_; }
@@ -135,11 +130,9 @@ class ThreadWorld {
     if (++barrier_count_ == num_ranks_) {
       barrier_count_ = 0;
       ++barrier_generation_;
-#if SPECOMP_HB_CHECK_ENABLED
       // Join all clocks while still holding the barrier mutex: no waiter can
       // resume (and issue new sends) before the merge completes.
       if (hb_ != nullptr) hb_->on_barrier();
-#endif
       barrier_cv_.notify_all();
       return;
     }
@@ -162,9 +155,7 @@ class ThreadWorld {
   std::condition_variable barrier_cv_;
   int barrier_count_ = 0;
   std::uint64_t barrier_generation_ = 0;
-#if SPECOMP_HB_CHECK_ENABLED
   std::unique_ptr<HbChecker> hb_;
-#endif
 };
 
 ThreadCommunicator::ThreadCommunicator(ThreadWorld& world, net::Rank rank)
@@ -262,11 +253,9 @@ void ThreadCommunicator::send(net::Rank dst, int tag,
     }
     if (outcome.extra_delay_seconds > 0.0) delivery_floor_[stream] = deliver_at;
   }
-#if SPECOMP_HB_CHECK_ENABLED
   // Recorded before the message becomes receivable: once deliver() runs the
   // receiver may consume it concurrently, and its check must find the send.
   if (HbChecker* hb = world_.hb()) hb->on_send(rank_, dst, tag, msg.seq);
-#endif
   if (outcome.duplicated && !fault->recovery()) {
     net::Message copy = msg;
     world_.mailbox(dst).deliver(
@@ -282,10 +271,8 @@ bool ThreadCommunicator::try_recv(net::Rank src, int tag, net::Message& out) {
   auto msg = world_.mailbox(rank_).try_take(src, tag);
   if (!msg) return false;
   out = std::move(*msg);
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, out.src, out.tag, out.seq);
-#endif
   note_msg_causal(des::CausalKind::Recv, out.src, out.tag, out.seq);
   return true;
 }
@@ -306,10 +293,8 @@ net::Message ThreadCommunicator::recv(net::Rank src, int tag) {
   } else {
     msg = world_.mailbox(rank_).take_blocking(src, tag);
   }
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, msg.src, msg.tag, msg.seq);
-#endif
   const des::SimTime waited = elapsed_since(begin);
   timer_.add(Phase::Communicate, waited);
   note_msg_causal(des::CausalKind::Recv, msg.src, msg.tag, msg.seq);
@@ -332,10 +317,8 @@ bool ThreadCommunicator::recv_timeout(net::Rank src, int tag,
   timer_.add(Phase::Communicate, waited);
   if (!taken) return false;
   out = std::move(*taken);
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, out.src, out.tag, out.seq);
-#endif
   note_msg_causal(des::CausalKind::Recv, out.src, out.tag, out.seq);
   return true;
 }
@@ -343,10 +326,8 @@ bool ThreadCommunicator::recv_timeout(net::Rank src, int tag,
 net::Message ThreadCommunicator::recv_any(int tag) {
   const auto begin = Clock::now();
   net::Message msg = world_.mailbox(rank_).take_blocking_any(tag);
-#if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, msg.src, msg.tag, msg.seq);
-#endif
   const des::SimTime waited = elapsed_since(begin);
   timer_.add(Phase::Communicate, waited);
   note_msg_causal(des::CausalKind::Recv, msg.src, msg.tag, msg.seq);
@@ -409,13 +390,6 @@ double ThreadCommunicator::time_seconds() const {
 }  // namespace
 
 ThreadResult run_threaded(const ThreadConfig& config, const RankBody& body) {
-#if !SPECOMP_HB_CHECK_ENABLED
-  if (config.hb_check) {
-    std::fprintf(stderr,
-                 "specomp: hb_check requested but this build compiled the "
-                 "detector out — reconfigure with -DSPECOMP_HB_CHECK=ON\n");
-  }
-#endif
   ThreadWorld world(config);
   const int p = world.num_ranks();
 

@@ -36,9 +36,7 @@ struct ThreadConfig {
   double latency_jitter_seconds = 0.0;
   std::uint64_t seed = 0x7ead5;
   /// Run the vector-clock happens-before detector on every send/recv/barrier
-  /// (see runtime/hb_check.hpp).  Only honoured when the build enables
-  /// -DSPECOMP_HB_CHECK=ON; otherwise the hooks are compiled out and this
-  /// flag warns and is ignored.
+  /// (see runtime/hb_check.hpp).  Off, each hook pays one null-pointer test.
   bool hb_check = false;
   /// Optional fault-injection plan (see runtime/fault.hpp).  Fault decisions
   /// hash the same message identities as the simulated backend, so the same

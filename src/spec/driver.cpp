@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/collective_algo.hpp"
 #include "runtime/fault.hpp"
 #include "spec/adaptive.hpp"
 #include "support/contracts.hpp"
@@ -112,16 +111,7 @@ std::string bind_engine_cli(const support::Cli& cli, EngineOptions& options,
   if (window_policy != "static") options.window_policy = window_policy;
   if (theta_policy != "static") options.theta_policy = theta_policy;
 
-  // Collective algorithms (runtime/collective_algo.hpp): flat linear or
-  // logarithmic tree; auto defers to the size heuristic.
-  const std::string collective = cli.get("collective", "auto");
-  const auto algo = runtime::parse_collective_algo(collective);
-  if (!algo)
-    return "unknown --collective '" + collective + "' (want flat|tree|auto)";
-  sim.collective = *algo;
-
-  // Happens-before detector (needs a -DSPECOMP_HB_CHECK=ON build; see
-  // runtime/hb_check.hpp).
+  // Happens-before detector (runtime/hb_check.hpp).
   sim.hb_check = cli.get_bool("hb-check");
 
   // Fault injection (DESIGN.md §9): the deterministic FaultPlan goes on

@@ -108,7 +108,7 @@ AppRunResult run_app_scenario(const EngineOptions& options,
 
 /// Parses the flags every example shares into `options` and `sim`:
 /// --window-policy, --theta-policy, --fault-plan, --fault-seed (plan hash
-/// seed), --collective and --hb-check.  A fault plan also arms graceful
+/// seed) and --hb-check.  A fault plan also arms graceful
 /// degradation, with `retransmit_timeout_s` as its ARQ timeout (size it
 /// a little above the network's healthy delivery time).  Returns "" on
 /// success, otherwise an error message naming the offending flag.

@@ -1,6 +1,7 @@
 #include "support/cpu_features.hpp"
 
-#include <cstdlib>
+#include <cstdint>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64)
 #define SPECOMP_CPU_X86 1
@@ -54,26 +55,6 @@ Features detect_x86() noexcept {
 
 #endif  // SPECOMP_CPU_X86
 
-struct Cache {
-  Features value;
-  bool overridden = false;
-};
-
-Cache& cache() {
-  static Cache c = [] {
-    Cache init;
-    init.value = detect();
-    // Config-only environment read, once, before any simulation starts:
-    // kernel-tier choice stays a pure function of (binary, host, env).
-    if (const char* limit = std::getenv("SPECOMP_CPU_LIMIT")) {
-      if (const auto capped = parse_cpu_limit(limit, init.value))
-        init.value = *capped;
-    }
-    return init;
-  }();
-  return c;
-}
-
 }  // namespace
 
 Features detect() noexcept {
@@ -84,41 +65,9 @@ Features detect() noexcept {
 #endif
 }
 
-const Features& features() noexcept { return cache().value; }
-
-void override_for_testing(std::optional<Features> forced) noexcept {
-  Cache& c = cache();
-  if (forced.has_value()) {
-    c.value = *forced;
-    c.overridden = true;
-  } else if (c.overridden) {
-    // Re-derive the non-overridden value (detect + env clamp).
-    c.value = detect();
-    if (const char* limit = std::getenv("SPECOMP_CPU_LIMIT")) {
-      if (const auto capped = parse_cpu_limit(limit, c.value))
-        c.value = *capped;
-    }
-    c.overridden = false;
-  }
-}
-
-std::optional<Features> parse_cpu_limit(std::string_view value,
-                                        const Features& detected) noexcept {
-  if (value == "native") return detected;
-  if (value == "generic") {
-    Features f = detected;
-    f.avx2 = false;
-    f.avx512f = false;
-    f.avx512dq = false;
-    return f;
-  }
-  if (value == "avx2") {
-    Features f = detected;
-    f.avx512f = false;
-    f.avx512dq = false;
-    return f;
-  }
-  return std::nullopt;
+const Features& features() noexcept {
+  static const Features cached = detect();
+  return cached;
 }
 
 std::string describe(const Features& f) {

@@ -1,31 +1,17 @@
-// Runtime CPU-feature detection for the explicitly vectorised force kernels.
-//
-// The SIMD kernel translation units are compiled with per-TU -m flags
-// (-mavx2/-mavx512f, see src/nbody/CMakeLists.txt), so the *binary* may
-// contain instructions the *host* cannot execute.  KernelDispatch therefore
-// asks this module — CPUID plus XGETBV for OS register-state support —
-// before ever routing into one of those TUs.  Detection runs once and is
-// cached; everything downstream (tier selection, --kernel=auto) is a pure
-// function of the cached value, so kernel choice is deterministic for a
-// given process on a given host.
-//
-// Two override channels exist, both config-only (never data- or
-// time-dependent):
-//   * SPECOMP_CPU_LIMIT=generic|avx2 caps the detected set — the CI
-//     generic-arch job uses it to exercise the no-SIMD fallback on hardware
-//     that does support SIMD;
-//   * override_for_testing() replaces the cached value from tests so the
-//     unsupported-tier fallback paths can be pinned on any build host.
+// Runtime CPU-feature detection (CPUID plus XGETBV for OS register-state
+// support), for reporting only: benchmark artifacts and host lines name the
+// ISA the results were measured on.  Nothing that a simulation computes
+// consults it — force-kernel selection depends on block sizes alone
+// (nbody/kernels/dispatch.hpp), so the simulated bits do not change with
+// the CPU.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace specomp::support::cpu {
 
-/// The subset of x86 features the kernel tiers care about.  All-false on
-/// non-x86 builds (runtime dispatch then always falls back to `tiled`).
+/// The x86 vector features a host fingerprint names.  All-false on non-x86
+/// builds.
 struct Features {
   bool sse2 = false;
   bool fma = false;
@@ -38,29 +24,19 @@ struct Features {
   /// OS saves/restores opmask + ZMM state (xcr0 bits 5-7).
   bool os_avx512 = false;
 
-  /// The avx2 kernel tier needs AVX2 + FMA and YMM OS support.
+  /// AVX2 + FMA with YMM OS support.
   bool usable_avx2() const noexcept { return avx2 && fma && os_avx; }
-  /// The avx512 tier needs AVX-512 F+DQ and ZMM/opmask OS support.
+  /// AVX-512 F+DQ with ZMM/opmask OS support.
   bool usable_avx512() const noexcept {
     return avx512f && avx512dq && os_avx512;
   }
 };
 
-/// Raw detection: CPUID leaves 1/7 + XGETBV.  Unaffected by overrides.
+/// Raw detection: CPUID leaves 1/7 + XGETBV.
 Features detect() noexcept;
 
-/// Cached features used for dispatch: detect(), clamped by SPECOMP_CPU_LIMIT
-/// (read once), unless a test override is active.
+/// detect(), run once per process and cached.
 const Features& features() noexcept;
-
-/// Replaces (or with nullopt restores) the cached feature set.  Test-only;
-/// takes effect for every later features() call.
-void override_for_testing(std::optional<Features> forced) noexcept;
-
-/// Parses a SPECOMP_CPU_LIMIT value: "generic" (no SIMD tiers), "avx2"
-/// (cap at AVX2), "native" (no cap).  nullopt on anything else.
-std::optional<Features> parse_cpu_limit(std::string_view value,
-                                        const Features& detected) noexcept;
 
 /// Human-readable summary, e.g. "sse2 avx avx2 fma avx512f avx512dq".
 std::string describe(const Features& f);

@@ -1,8 +1,8 @@
 // Equivalence and determinism properties of the force-kernel subsystem:
 // the tiled kernels must match the scalar oracle within 1e-10 max-abs for
-// every skip_offset shape, and tiled-mt must be bit-identical to tiled
-// regardless of pool size (disjoint chunk-aligned shards, fixed sweep
-// order).
+// every skip_offset shape, and tiled-mt must be bit-identical to tiled on
+// every shape at every pool size (disjoint chunk-aligned shards, fixed
+// sweep order).  Auto's tier is a function of block sizes alone.
 #include "nbody/kernels/dispatch.hpp"
 #include "nbody/kernels/kernel.hpp"
 
@@ -11,12 +11,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "nbody/forces.hpp"
 #include "nbody/init.hpp"
-#include "nbody/kernels/simd.hpp"
-#include "support/cpu_features.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -71,26 +70,82 @@ double max_abs_dev(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
   return worst;
 }
 
+/// SoA image of a block, the layout the tiled kernels take.
+struct Soa {
+  std::vector<double> x, y, z, m;
+  explicit Soa(const Block& block) : m(block.mass) {
+    for (const Vec3& p : block.pos) {
+      x.push_back(p.x);
+      y.push_back(p.y);
+      z.push_back(p.z);
+    }
+  }
+  nbody::kernels::SoaView view() const {
+    return {x.data(), y.data(), z.data(), m.data(), x.size()};
+  }
+};
+
+/// SoA accumulators seeded with a pattern, so every comparison also covers
+/// the add-into contract.
+struct Acc {
+  std::vector<double> x, y, z;
+  explicit Acc(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      x.push_back(0.5 * static_cast<double>(i));
+      y.push_back(-1.0);
+      z.push_back(2.0);
+    }
+  }
+  bool identical(const Acc& o) const {
+    // memcmp may not take the null data() of an empty vector, even for 0
+    // bytes, so the n = 0 shape compares sizes only.
+    const auto same = [](const std::vector<double>& a,
+                         const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             (a.empty() ||
+              std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+    };
+    return same(x, o.x) && same(y, o.y) && same(z, o.z);
+  }
+};
+
+/// tiled-mt on private pools of 0, 1 and 3 workers, each memcmp-equal to
+/// tiled: shards never change a target's summation order.
+void expect_mt_bit_identical(const Soa& targets, const Soa& sources,
+                             std::size_t skip_offset, const std::string& what) {
+  Acc tiled(targets.x.size());
+  nbody::kernels::tiled_accumulate(targets.view(), sources.view(), kSoft2,
+                                   skip_offset, tiled.x.data(), tiled.y.data(),
+                                   tiled.z.data());
+  for (const unsigned workers : {0u, 1u, 3u}) {
+    support::ThreadPool pool(workers);
+    Acc mt(targets.x.size());
+    nbody::kernels::tiled_mt_accumulate(targets.view(), sources.view(), kSoft2,
+                                        skip_offset, mt.x.data(), mt.y.data(),
+                                        mt.z.data(), &pool);
+    EXPECT_TRUE(mt.identical(tiled)) << what << " workers=" << workers;
+  }
+}
+
 void expect_all_match(const Block& targets, const Block& sources,
-                      std::size_t skip_offset, const char* what) {
+                      std::size_t skip_offset, const std::string& what) {
   const auto oracle = run(ForceKernel::Scalar, targets, sources, skip_offset);
   const auto tiled = run(ForceKernel::Tiled, targets, sources, skip_offset);
-  const auto mt = run(ForceKernel::TiledMT, targets, sources, skip_offset);
   EXPECT_LE(max_abs_dev(tiled, oracle), kBudget) << what;
-  EXPECT_LE(max_abs_dev(mt, oracle), kBudget) << what;
-  // tiled-mt shards never change summation order, so vs tiled it is exact.
-  EXPECT_EQ(max_abs_dev(mt, tiled), 0.0) << what;
+  expect_mt_bit_identical(Soa(targets), Soa(sources), skip_offset, what);
 }
 
 TEST(ForceKernels, MatchScalarOnFullSelfInteraction) {
   // skip_offset = 0: the all_accelerations shape, self window sweeps the
   // whole diagonal.  Sizes straddle the chunk width (8) and beyond.
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                              std::size_t{7}, std::size_t{8}, std::size_t{9},
-                              std::size_t{63}, std::size_t{64}, std::size_t{65},
-                              std::size_t{200}}) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
+        std::size_t{8}, std::size_t{9}, std::size_t{31}, std::size_t{32},
+        std::size_t{33}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{200}}) {
     const Block block = make_block(n, 42);
-    expect_all_match(block, block, 0, "n self-interaction");
+    expect_all_match(block, block, 0,
+                     "self-interaction n=" + std::to_string(n));
   }
 }
 
@@ -100,28 +155,32 @@ TEST(ForceKernels, MatchScalarOnDisjointBlocks) {
                                std::size_t{100}}) {
     const Block targets = make_block(nt, 7);
     const Block sources = make_block(57, 8);
-    expect_all_match(targets, sources, kDisjoint, "disjoint blocks");
+    expect_all_match(targets, sources, kDisjoint,
+                     "disjoint nt=" + std::to_string(nt));
   }
 }
 
 TEST(ForceKernels, MatchScalarAcrossSkipOffsets) {
   // Rank-block shape: targets are a window of the sources at offset `lo`.
   // Offsets probe chunk boundaries (multiples of 8 and neighbours) plus the
-  // extremes of the source range.
-  const std::size_t n = 96;
+  // extremes of the source range; 21 targets leave a chunk tail.
+  const std::size_t n = 104;
   const Block sources = make_block(n, 3);
-  for (const std::size_t lo :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{16}, std::size_t{63}, std::size_t{64},
-        std::size_t{80}}) {
-    const std::size_t count = 16;
-    ASSERT_LE(lo + count, n);
-    Block targets;
-    targets.pos.assign(sources.pos.begin() + static_cast<std::ptrdiff_t>(lo),
-                       sources.pos.begin() +
-                           static_cast<std::ptrdiff_t>(lo + count));
-    targets.mass.assign(count, 0.0);  // target masses are unused
-    expect_all_match(targets, sources, lo, "skip offset window");
+  for (const std::size_t count : {std::size_t{16}, std::size_t{21}}) {
+    for (const std::size_t lo :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+          std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+          std::size_t{63}, std::size_t{64}, std::size_t{80}}) {
+      ASSERT_LE(lo + count, n);
+      Block targets;
+      targets.pos.assign(
+          sources.pos.begin() + static_cast<std::ptrdiff_t>(lo),
+          sources.pos.begin() + static_cast<std::ptrdiff_t>(lo + count));
+      targets.mass.assign(count, 0.0);  // target masses are unused
+      expect_all_match(targets, sources, lo,
+                       "window lo=" + std::to_string(lo) +
+                           " count=" + std::to_string(count));
+    }
   }
 }
 
@@ -133,7 +192,8 @@ TEST(ForceKernels, MatchScalarWhenSelfWindowFallsPastSources) {
   const Block sources = make_block(32, 12);
   for (const std::size_t lo : {std::size_t{20}, std::size_t{31},
                                std::size_t{32}, std::size_t{100}}) {
-    expect_all_match(targets, sources, lo, "self window past sources");
+    expect_all_match(targets, sources, lo,
+                     "self window past sources lo=" + std::to_string(lo));
   }
 }
 
@@ -164,48 +224,27 @@ TEST(ForceKernels, AccumulateAddsToExistingValues) {
 
 TEST(ForceKernels, TiledMtIsDeterministicAcrossRunsAndPoolSizes) {
   // Same input, repeated runs, different pool sizes: byte-identical output.
-  const std::size_t n = 500;
-  const Block block = make_block(n, 9);
-  std::vector<double> sx(n), sy(n), sz(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sx[i] = block.pos[i].x;
-    sy[i] = block.pos[i].y;
-    sz[i] = block.pos[i].z;
-  }
-  const nbody::kernels::SoaView view{sx.data(), sy.data(), sz.data(),
-                                     block.mass.data(), n};
-
-  std::vector<double> ref_x(n, 0.0), ref_y(n, 0.0), ref_z(n, 0.0);
-  nbody::kernels::tiled_accumulate(view, view, kSoft2, 0, ref_x.data(),
-                                   ref_y.data(), ref_z.data());
-
-  for (const unsigned workers : {0u, 1u, 3u}) {
-    support::ThreadPool pool(workers);
-    for (int rep = 0; rep < 5; ++rep) {
-      std::vector<double> ax(n, 0.0), ay(n, 0.0), az(n, 0.0);
-      nbody::kernels::tiled_mt_accumulate(view, view, kSoft2, 0, ax.data(),
-                                          ay.data(), az.data(), &pool);
-      EXPECT_EQ(std::memcmp(ax.data(), ref_x.data(), n * sizeof(double)), 0)
-          << "workers=" << workers << " rep=" << rep;
-      EXPECT_EQ(std::memcmp(ay.data(), ref_y.data(), n * sizeof(double)), 0)
-          << "workers=" << workers << " rep=" << rep;
-      EXPECT_EQ(std::memcmp(az.data(), ref_z.data(), n * sizeof(double)), 0)
-          << "workers=" << workers << " rep=" << rep;
-    }
-  }
+  const Soa block(make_block(500, 9));
+  for (int rep = 0; rep < 5; ++rep)
+    expect_mt_bit_identical(block, block, 0, "rep=" + std::to_string(rep));
 }
 
 TEST(KernelDispatch, ParseRoundTripsEveryName) {
   using nbody::kernels::force_kernel_name;
   using nbody::kernels::parse_force_kernel;
-  for (const ForceKernel kind :
-       {ForceKernel::Auto, ForceKernel::Scalar, ForceKernel::Tiled,
-        ForceKernel::TiledMT, ForceKernel::SimdAvx2, ForceKernel::SimdAvx512,
-        ForceKernel::Tree}) {
+  const ForceKernel kinds[] = {ForceKernel::Auto, ForceKernel::Scalar,
+                               ForceKernel::Tiled, ForceKernel::TiledMT,
+                               ForceKernel::Tree};
+  std::string names;
+  for (const ForceKernel kind : kinds) {
     const auto parsed = parse_force_kernel(force_kernel_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
+    if (!names.empty()) names += '|';
+    names += force_kernel_name(kind);
   }
+  // The CLI's tier list is exactly these five, in enum order.
+  EXPECT_EQ(names, nbody::kernels::force_kernel_names());
   EXPECT_FALSE(parse_force_kernel("").has_value());
   EXPECT_FALSE(parse_force_kernel("simd").has_value());
   EXPECT_FALSE(parse_force_kernel("avx2").has_value());
@@ -215,16 +254,19 @@ TEST(KernelDispatch, ParseRoundTripsEveryName) {
 TEST(KernelDispatch, CliParseFailsFastWithValidTierList) {
   using nbody::kernels::parse_force_kernel_cli;
   std::string error;
-  const auto ok = parse_force_kernel_cli("simd-avx2", error);
+  const auto ok = parse_force_kernel_cli("tiled-mt", error);
   ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(*ok, ForceKernel::SimdAvx2);
+  EXPECT_EQ(*ok, ForceKernel::TiledMT);
   EXPECT_TRUE(error.empty());
 
-  EXPECT_FALSE(parse_force_kernel_cli("warp", error).has_value());
-  EXPECT_NE(error.find("warp"), std::string::npos);
-  // The message names every valid tier so a typo is self-correcting.
-  EXPECT_NE(error.find(nbody::kernels::force_kernel_names()),
-            std::string::npos);
+  for (const char* bad : {"warp", "simd-avx2", "simd-avx512"}) {
+    error.clear();
+    EXPECT_FALSE(parse_force_kernel_cli(bad, error).has_value()) << bad;
+    EXPECT_NE(error.find(bad), std::string::npos) << error;
+    // The message names every valid tier so a typo is self-correcting.
+    EXPECT_NE(error.find("auto|scalar|tiled|tiled-mt|tree"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(KernelDispatch, BhThetaOnlyMeaningfulForTreeCapableKernels) {
@@ -232,8 +274,7 @@ TEST(KernelDispatch, BhThetaOnlyMeaningfulForTreeCapableKernels) {
   EXPECT_TRUE(kernel_uses_bh_theta(ForceKernel::Tree));
   EXPECT_TRUE(kernel_uses_bh_theta(ForceKernel::Auto));  // may escalate
   for (const ForceKernel kind :
-       {ForceKernel::Scalar, ForceKernel::Tiled, ForceKernel::TiledMT,
-        ForceKernel::SimdAvx2, ForceKernel::SimdAvx512}) {
+       {ForceKernel::Scalar, ForceKernel::Tiled, ForceKernel::TiledMT}) {
     EXPECT_FALSE(kernel_uses_bh_theta(kind))
         << nbody::kernels::force_kernel_name(kind);
   }
@@ -263,105 +304,35 @@ TEST(KernelDispatch, ProcessDefaultOverridesAuto) {
 }
 
 TEST(KernelDispatch, AutoBoundariesArePinnedExactly) {
-  // The escalation thresholds, probed at +-1 through the worker-explicit
-  // overload (the shared pool has host-dependent size).  No simd tier
-  // forced off here — Auto picks the widest usable one, so the expected
-  // single-thread tier is computed from the live cpu features.
+  // Auto's tier as a function of (targets, sources) alone: the same table
+  // holds on every host, whatever its ISA or pool size.  Rows probe each
+  // threshold at +-1.
   using nbody::kernels::kMinTargetsForMT;
   using nbody::kernels::kScalarPairCutoff;
   using nbody::kernels::kTreeSourceCutoff;
-  using nbody::kernels::resolve_force_kernel;
-  using nbody::kernels::SimdTier;
-
-  const ForceKernel single_thread_tier =
-      nbody::kernels::widest_simd_tier() == SimdTier::Avx512
-          ? ForceKernel::SimdAvx512
-      : nbody::kernels::widest_simd_tier() == SimdTier::Avx2
-          ? ForceKernel::SimdAvx2
-          : ForceKernel::Tiled;
-
-  // Pair cutoff: 63*65 = 4095 < 4096 <= 64*64.
   static_assert(63 * 65 < kScalarPairCutoff && kScalarPairCutoff <= 64 * 64);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 63, 65, 0),
-            ForceKernel::Scalar);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 64, 64, 0),
-            single_thread_tier);
-
-  // Tree cutoff on the source count, any target count.
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 8192,
-                                 kTreeSourceCutoff - 1, 0),
-            single_thread_tier);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 8192, kTreeSourceCutoff, 0),
-            ForceKernel::Tree);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, 1, kTreeSourceCutoff, 0),
-            ForceKernel::Tree);
-
-  // MT needs both enough targets and a populated pool.
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, kMinTargetsForMT, 1000, 2),
-            ForceKernel::TiledMT);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, kMinTargetsForMT - 1, 1000,
-                                 2),
-            single_thread_tier);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::Auto, kMinTargetsForMT, 1000, 0),
-            single_thread_tier);
-}
-
-TEST(KernelDispatch, AutoNeverSelectsAnUnusableTier) {
-  // Clamp the cpu to generations below each tier and confirm Auto's
-  // single-thread choice degrades in lockstep, never resolving to a tier
-  // the host cannot execute.
-  using nbody::kernels::resolve_force_kernel;
-  using support::cpu::Features;
-
-  const auto single_thread = [] {
-    return resolve_force_kernel(ForceKernel::Auto, 64, 1000, 0);
+  struct Row {
+    std::size_t targets;
+    std::size_t sources;
+    ForceKernel tier;
   };
-
-  support::cpu::override_for_testing(Features{});  // no SIMD at all
-  EXPECT_EQ(single_thread(), ForceKernel::Tiled);
-
-  Features avx2_only;
-  avx2_only.sse2 = avx2_only.avx = avx2_only.avx2 = avx2_only.fma = true;
-  avx2_only.os_avx = true;
-  support::cpu::override_for_testing(avx2_only);
-  if (nbody::kernels::simd_tier_compiled(nbody::kernels::SimdTier::Avx2))
-    EXPECT_EQ(single_thread(), ForceKernel::SimdAvx2);
-  else
-    EXPECT_EQ(single_thread(), ForceKernel::Tiled);
-
-  support::cpu::override_for_testing(std::nullopt);
-}
-
-TEST(KernelDispatch, ForcedUnusableSimdTierFallsBackCleanly) {
-  // --kernel=simd-avx512 on an AVX2-only host runs simd-avx2; on a host
-  // with neither, both forced tiers run tiled.  Dispatch must degrade, not
-  // fault.
-  using nbody::kernels::resolve_force_kernel;
-  using support::cpu::Features;
-
-  Features avx2_only;
-  avx2_only.sse2 = avx2_only.avx = avx2_only.avx2 = avx2_only.fma = true;
-  avx2_only.os_avx = true;
-  support::cpu::override_for_testing(avx2_only);
-  const bool avx2_compiled =
-      nbody::kernels::simd_tier_compiled(nbody::kernels::SimdTier::Avx2);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::SimdAvx512, 100, 100, 0),
-            avx2_compiled ? ForceKernel::SimdAvx2 : ForceKernel::Tiled);
-
-  support::cpu::override_for_testing(Features{});
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::SimdAvx512, 100, 100, 0),
-            ForceKernel::Tiled);
-  EXPECT_EQ(resolve_force_kernel(ForceKernel::SimdAvx2, 100, 100, 0),
-            ForceKernel::Tiled);
-
-  // And the public accumulate entry point stays correct under the clamp
-  // (it silently runs the fallback tier).
-  const Block block = make_block(64, 33);
-  const auto forced = run(ForceKernel::SimdAvx512, block, block, 0);
-  const auto oracle = run(ForceKernel::Scalar, block, block, 0);
-  EXPECT_LE(max_abs_dev(forced, oracle), kBudget);
-
-  support::cpu::override_for_testing(std::nullopt);
+  const Row rows[] = {
+      {0, 1000, ForceKernel::Scalar},
+      {63, 65, ForceKernel::Scalar},  // 4095 pairs
+      {64, 64, ForceKernel::TiledMT},
+      {1, kScalarPairCutoff, ForceKernel::Tiled},
+      {kMinTargetsForMT - 1, 1000, ForceKernel::Tiled},
+      {kMinTargetsForMT, 1000, ForceKernel::TiledMT},
+      {kMinTargetsForMT - 1, kTreeSourceCutoff - 1, ForceKernel::Tiled},
+      {8192, kTreeSourceCutoff - 1, ForceKernel::TiledMT},
+      {8192, kTreeSourceCutoff, ForceKernel::Tree},
+      {1, kTreeSourceCutoff, ForceKernel::Tree},
+  };
+  for (const Row& row : rows)
+    EXPECT_EQ(nbody::kernels::resolve_force_kernel(ForceKernel::Auto,
+                                                   row.targets, row.sources),
+              row.tier)
+        << row.targets << " targets x " << row.sources << " sources";
 }
 
 TEST(KernelDispatch, AutoMatchesOracleThroughPublicEntryPoint) {

@@ -443,7 +443,6 @@ TEST(ThreadFault, CrashUnblocksAPendingReceive) {
 }
 
 // --------------------------------------------- happens-before interplay
-#if SPECOMP_HB_CHECK_ENABLED
 
 TEST(HbFault, RecoveryKeepsInjectedDupAndReorderHbClean) {
   SimConfig config = two_rank_config();
@@ -498,8 +497,6 @@ TEST(HbFault, ReorderWithoutRecoveryTripsTheDetector) {
                              }),
                HbViolation);
 }
-
-#endif  // SPECOMP_HB_CHECK_ENABLED
 
 // -------------------------------------------------- graceful degradation
 

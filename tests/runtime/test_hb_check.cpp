@@ -1,10 +1,8 @@
 // Happens-before detector tests.
 //
-// The HbChecker class is compiled in every configuration, so the direct
-// violation tests below always run.  The communicator hooks exist only under
-// -DSPECOMP_HB_CHECK=ON; the integration tests for clean end-to-end runs are
-// gated on SPECOMP_HB_CHECK_ENABLED, and the "detector off means zero
-// metrics" test runs in every configuration (that claim must hold in both).
+// Direct violation tests drive HbChecker by hand; the integration tests run
+// whole simulated and threaded programs with the communicator hooks armed
+// by hb_check, and check that with it off the run records nothing.
 #include "runtime/hb_check.hpp"
 
 #include <gtest/gtest.h>
@@ -160,8 +158,6 @@ void all_to_all_body(Communicator& comm) {
   }
 }
 
-#if SPECOMP_HB_CHECK_ENABLED
-
 TEST(HbIntegration, CleanSimulatedRunPasses) {
   SimConfig config = jittered_sim_config(4);
   config.hb_check = true;
@@ -196,11 +192,8 @@ TEST(HbIntegration, EventsCheckedSurfacedAsMetric) {
   EXPECT_EQ(result.hb_events_checked, 25u);
 }
 
-#endif  // SPECOMP_HB_CHECK_ENABLED
-
-// Holds in every configuration: with hb_check off the run reports no
-// checked events (and in default builds the hooks are not even compiled, so
-// this is trivially the no-cost path).
+// With hb_check off no detector exists, so the run reports no checked
+// events.
 TEST(HbIntegration, DetectorOffLeavesNoMetricsTrace) {
   SimConfig config = jittered_sim_config(2);
   config.hb_check = false;

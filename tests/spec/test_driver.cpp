@@ -106,7 +106,6 @@ TEST(BindEngineCli, DefaultsLeaveEverythingStatic) {
   EXPECT_EQ(b.options.window_policy, "");
   EXPECT_EQ(b.options.theta_policy, "");
   EXPECT_FALSE(b.options.graceful_degradation);
-  EXPECT_EQ(b.sim.collective, runtime::CollectiveAlgo::Auto);
   EXPECT_FALSE(b.sim.hb_check);
   EXPECT_EQ(b.sim.fault, nullptr);
 }
@@ -115,10 +114,6 @@ TEST(BindEngineCli, EachFlagSetsItsField) {
   EXPECT_EQ(bind({"--window-policy=model"}).options.window_policy, "model");
   EXPECT_EQ(bind({"--theta-policy=adaptive"}).options.theta_policy,
             "adaptive");
-  EXPECT_EQ(bind({"--collective=tree"}).sim.collective,
-            runtime::CollectiveAlgo::Tree);
-  EXPECT_EQ(bind({"--collective=flat"}).sim.collective,
-            runtime::CollectiveAlgo::Flat);
   EXPECT_TRUE(bind({"--hb-check"}).sim.hb_check);
 
   const Bound faulted = bind({"--fault-plan=drop:0.05", "--fault-seed=77"});
@@ -145,8 +140,6 @@ TEST(BindEngineCli, BadValuesNameTheirFlag) {
   EXPECT_NE(error_of({"--window-policy=hill-climb"}).find("--window-policy"),
             std::string::npos);
   EXPECT_NE(error_of({"--theta-policy=banana"}).find("--theta-policy"),
-            std::string::npos);
-  EXPECT_NE(error_of({"--collective=binomial"}).find("--collective"),
             std::string::npos);
   EXPECT_NE(error_of({"--fault-plan=flood:1"}).find("--fault-plan"),
             std::string::npos);

@@ -62,14 +62,13 @@ const std::vector<RuleSpec> kRules = {
      // Trace/distribution emission sits on the send/recv/compute hot paths,
      // so its headers get the same no-type-erased-callables discipline, as
      // do the collectives (every hop is a hot-path send/recv), the force
-     // kernels (the per-pair inner loops), the integrator family (invoked
-     // once per stage per step, with the force model on the stack), and the
-     // CPUID feature probe (consulted on every kernel dispatch).
+     // kernels (the per-pair inner loops), and the integrator family
+     // (invoked once per stage per step, with the force model on the stack).
      // (runtime/communicator.hpp stays out: RankBody is std::function by
      // design — it is invoked once per rank, not per event.)
      {"src/des/", "src/obs/dist_sketch", "src/obs/trace_export",
       "src/runtime/collective", "src/nbody/kernels/",
-      "src/nbody/integrators/", "src/support/cpu_features"},
+      "src/nbody/integrators/"},
      {}, true, false},
     {"rollback-unsaved-field",
      "member mutated by the step/install/correct path but not covered by "
